@@ -85,7 +85,7 @@ func main() {
 	churn := flag.Int("churn", 0, "number of seeded crash+recover cycles replayed while the delivery run is in flight")
 	retries := flag.Int("retries", core.DefaultRetries, "per-hop retry budget for fault-injected delivery")
 	lossAware := flag.Bool("lossaware", false, "plan around observed lossy links (ETX weights) in the delivery run")
-	adversary := flag.String("adversary", "", "Byzantine adversaries in the delivery run: FRAC[,BEHAVIORS] e.g. 0.2 or 0.2,misroute+forge (behaviors: misroute, drop, forge, lie, all; default all); engages verified delivery + reputation-weighted planning")
+	adversary := flag.String("adversary", "", "Byzantine adversaries in the delivery run: FRAC[,BEHAVIORS] e.g. 0.2 or 0.2,misroute+forge (behaviors: misroute, drop, forge, lie, all; default all); engages end-to-end verified delivery")
 	traceFile := flag.String("trace", "", "record stack-wide trace events; write metrics + a traced sample query as JSON to this file")
 	pprofFile := flag.String("pprof", "", "write a CPU profile of the run to this file")
 	static := flag.Bool("static", false, "build the network with the simulator-free static pipeline (identical routing state, no protocol rounds; enables much larger -n)")
@@ -593,7 +593,7 @@ func writeTraceOutput(path string, nw *core.Network, tracer *trace.Tracer, pairs
 // workload as actual payload deliveries on the simulator, reporting how many
 // survive message loss, crashed nodes, mid-run churn and Byzantine
 // adversaries through retries, replanning, topology repair, suspect
-// failover, verified delivery and reputation-weighted planning.
+// failover and verified delivery.
 func runFaultedDelivery(nw *core.Network, pairs []core.Query, loss float64, crash, churn, retries int, seed int64, lossAware bool, advFrac float64, advBehaviors sim.AdversaryBehavior) {
 	rng := rand.New(rand.NewSource(seed + 7))
 	crashed := make([]sim.NodeID, 0, crash)
@@ -631,9 +631,6 @@ func runFaultedDelivery(nw *core.Network, pairs []core.Query, loss float64, cras
 	topt := core.TransportOptions{PayloadWords: 32, Retries: retries, Reliable: true}
 	if lossAware {
 		topt.LossAware = core.LossAwareOn
-	}
-	if advFrac > 0 {
-		topt.Reputation = core.ReputationOn
 	}
 	delivered, attempted, retrans, replans, detours, skipped := 0, 0, 0, 0, 0, 0
 	suspected, suspectDetours := 0, 0
@@ -687,10 +684,6 @@ func runFaultedDelivery(nw *core.Network, pairs []core.Query, loss float64, cras
 			100*advFrac, advBehaviors, adv.Misrouted, adv.ForgedAcks, adv.SelectiveDrops)
 		fmt.Printf("verified delivery: %d/%d confirmed end to end, %d e2e relaunches, %d misroutes detected\n",
 			verified, delivered, e2eResends, misrouteDet)
-		if nw.Rep != nil {
-			fmt.Printf("reputation: generation %d (recovery replans tie-break on per-node delivery trust)\n",
-				nw.Rep.Generation())
-		}
 	}
 	if lossAware {
 		fmt.Printf("loss-aware detours %d\n", detours)

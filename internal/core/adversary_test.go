@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -48,10 +47,6 @@ func TestForgedAckVerifiedDelivery(t *testing.T) {
 	if c := nw.Sim.AdversaryCountersOf(victim); c.ForgedAcks == 0 {
 		t.Error("the forger never acted — test did not exercise the behavior")
 	}
-	// The relaunch debit must have dented the forger's reputation.
-	if nw.Rep.Score(victim) >= 1.0 {
-		t.Errorf("forger still at full trust (score %.2f)", nw.Rep.Score(victim))
-	}
 }
 
 // TestForgedAckDoesNotCompleteProbation pins the probation-credit bugfix: a
@@ -74,7 +69,7 @@ func TestForgedAckDoesNotCompleteProbation(t *testing.T) {
 	for i := 0; i <= probationAcks; i++ {
 		rep := &TransportReport{Outcome: plan}
 		rep.Outcome.Path = append([]sim.NodeID(nil), plan.Path...)
-		nw.deliverReliable(nw, s, d, TransportOptions{PayloadWords: 8, TimeoutRounds: 4000}, rep, false, false, "network")
+		nw.newReliableRun(nw, s, d, TransportOptions{PayloadWords: 8, TimeoutRounds: 4000}, rep, false, "network").deliver()
 	}
 	if !nw.Live.Suspected(forger) {
 		t.Fatal("forged hop acks completed probation for an unverified forwarder")
@@ -133,11 +128,11 @@ func TestSelectiveDropRecovered(t *testing.T) {
 // TestAdversaryFreeRunsIdentical pins the acceptance criterion from the
 // transport side: the verified-delivery machinery is gated on adversaries
 // being installed, so a fault-free reliable run is byte-identical whether the
-// Byzantine tier exists or not (no verify traffic, no reputation movement).
+// Byzantine tier exists or not (no verify traffic).
 func TestAdversaryFreeRunsIdentical(t *testing.T) {
 	nw := prepScenario(t, 0.55, 8, 8, 1.8)
 	s, d := transportPair(t, nw)
-	rep, err := nw.RouteOnSimOpt(s, d, TransportOptions{PayloadWords: 64, Reliable: true, Reputation: ReputationOn})
+	rep, err := nw.RouteOnSimOpt(s, d, TransportOptions{PayloadWords: 64, Reliable: true})
 	if err != nil || !rep.DeliveredSim {
 		t.Fatalf("clean reliable run failed: %v", err)
 	}
@@ -147,96 +142,6 @@ func TestAdversaryFreeRunsIdentical(t *testing.T) {
 	if rep.Retransmits != 0 || rep.Replans != 0 {
 		t.Errorf("clean run must not retry: %+v", rep)
 	}
-	if g := nw.Rep.Generation(); g != 0 {
-		t.Errorf("reputation generation moved on a clean run: %d", g)
-	}
-}
-
-// TestReputationTable unit-tests the EWMA score dynamics, the weight clamp,
-// the hard-avoid threshold with probe exemption, and nil-safety.
-func TestReputationTable(t *testing.T) {
-	rp := NewReputation(10)
-	if rp.Score(3) != 1.0 || rp.Weight(3) != 1.0 {
-		t.Fatal("unseen nodes must be fully trusted")
-	}
-	rp.Observe(3, true)
-	if rp.Generation() != 0 {
-		t.Fatal("crediting a full-trust node must be a no-op (byte-identity gate)")
-	}
-	rp.Observe(3, false) // 0.7
-	if got := rp.Score(3); math.Abs(got-0.7) > 1e-12 {
-		t.Fatalf("one debit: score %.2f, want 0.7", got)
-	}
-	if rp.LowCount() != 0 {
-		t.Fatal("0.7 is above the avoid threshold")
-	}
-	rp.Observe(3, false) // 0.49
-	rp.Observe(3, false) // 0.343
-	if rp.LowCount() != 0 {
-		t.Fatalf("three debits must stay above the avoid threshold (score %.2f)", rp.Score(3))
-	}
-	rp.Observe(3, false) // 0.240 < repAvoidBelow
-	if rp.LowCount() != 1 {
-		t.Fatalf("four debits must cross the avoid threshold (score %.2f)", rp.Score(3))
-	}
-	if set := rp.AvoidSet(0, 1); !set[3] {
-		t.Fatalf("replan avoid set must contain node 3: %v", set)
-	}
-	if set := rp.AvoidSet(3, 1); set[3] || rp.AvoidSet(0, 3)[3] {
-		t.Fatal("endpoints are exempt from avoidance")
-	}
-	// Some query probes the distrusted node, some avoid it.
-	probed, avoided := false, false
-	for s := sim.NodeID(0); s < 10; s++ {
-		for d := sim.NodeID(0); d < 10; d++ {
-			if s == 3 || d == 3 || s == d {
-				continue
-			}
-			if rp.AvoidFor(s, d)[3] {
-				avoided = true
-			} else {
-				probed = true
-			}
-		}
-	}
-	if !probed || !avoided {
-		t.Errorf("probe election must split queries (probed=%v avoided=%v)", probed, avoided)
-	}
-	// Weight is inert above the confidence threshold, engages below it, and
-	// never exceeds the repWeightCap tie-breaker bound.
-	if w := rp.Weight(3); w <= 1.0 || w > repWeightCap {
-		t.Errorf("weight %f for score %.3f, want in (1, %f]", w, rp.Score(3), repWeightCap)
-	}
-	for i := 0; i < 20; i++ {
-		rp.Observe(3, false)
-	}
-	if w := rp.Weight(3); w <= 1.0 || w > repWeightCap {
-		t.Errorf("weight %f after 20 debits, want in (1, %f]", w, repWeightCap)
-	}
-	// Redemption: verified deliveries climb back out of the avoid band.
-	for i := 0; i < 10; i++ {
-		rp.Observe(3, true)
-	}
-	if rp.LowCount() != 0 || rp.Score(3) < repAvoidBelow {
-		t.Errorf("redeemed node still avoided: score %.3f, low %d", rp.Score(3), rp.LowCount())
-	}
-	// ObservePath skips endpoints.
-	rp2 := NewReputation(5)
-	rp2.ObservePath([]sim.NodeID{0, 1, 2, 4}, 0, 4, false)
-	if rp2.Score(0) != 1.0 || rp2.Score(4) != 1.0 {
-		t.Error("ObservePath must not score endpoints")
-	}
-	if rp2.Score(1) == 1.0 || rp2.Score(2) == 1.0 {
-		t.Error("ObservePath must score interior nodes")
-	}
-	// Nil receiver: inert everywhere.
-	var nilRp *Reputation
-	if nilRp.Score(1) != 1.0 || nilRp.Weight(1) != 1.0 || nilRp.Generation() != 0 ||
-		nilRp.LowCount() != 0 || nilRp.AvoidFor(0, 1) != nil || nilRp.AvoidSet(0, 1) != nil {
-		t.Error("nil reputation table must be inert")
-	}
-	nilRp.Observe(1, false)
-	nilRp.ObservePath([]sim.NodeID{0, 1, 2}, 0, 2, false)
 }
 
 // TestProbeHashFullWidth is the satellite-1 regression: the old shifted
@@ -312,28 +217,5 @@ func TestLivenessConcurrentReadmission(t *testing.T) {
 	}
 	if got := lv.SuspectCount(); got != count {
 		t.Fatalf("suspect count %d != set flags %d after concurrent churn", got, count)
-	}
-}
-
-// TestEngineCacheVersionedByRepGeneration mirrors the topology-generation
-// cache test for the reputation axis: a fragment planned under one reputation
-// state must not be served after the table moved.
-func TestEngineCacheVersionedByRepGeneration(t *testing.T) {
-	nw := prepScenario(t, 0.55, 7, 7, 1.5)
-	eng := NewEngine(nw, EngineConfig{Workers: 1})
-	s, d := transportPair(t, nw)
-	eng.Route(s, d)
-	eng.Route(s, d)
-	if eng.Stats().Hits == 0 {
-		t.Fatalf("repeat query must hit the cache: %+v", eng.Stats())
-	}
-	missesBefore := eng.Stats().Misses
-	nw.Rep.Observe(sim.NodeID(1), false) // any score movement bumps the generation
-	if nw.Rep.Generation() == 0 {
-		t.Fatal("debit must advance the reputation generation")
-	}
-	eng.Route(s, d)
-	if eng.Stats().Misses <= missesBefore {
-		t.Errorf("post-reputation-change query must miss the cache: %+v", eng.Stats())
 	}
 }

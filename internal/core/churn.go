@@ -82,7 +82,6 @@ func (nw *Network) enableChurnRepair() {
 	}
 	nw.dead = make(map[sim.NodeID]bool)
 	nw.Live = NewLiveness(nw.G.N())
-	nw.Rep = NewReputation(nw.G.N())
 	if nw.Sim != nil {
 		nw.Sim.OnMembershipChange(func(v sim.NodeID, up bool) { nw.repairTopology(v, up) })
 	}

@@ -269,7 +269,6 @@ func TestLivenessProbation(t *testing.T) {
 	if !lv.Suspected(3) || lv.SuspectCount() != 1 {
 		t.Fatal("node 3 must be suspected")
 	}
-	gen := lv.Generation()
 	// Two clean acks, then a retry: probation restarts.
 	lv.ObserveAck(3, 1, true)
 	lv.ObserveAck(3, 1, true)
@@ -283,9 +282,6 @@ func TestLivenessProbation(t *testing.T) {
 	lv.ObserveAck(3, 1, true)
 	if lv.Suspected(3) || lv.SuspectCount() != 0 {
 		t.Fatal("completed probation must readmit the node")
-	}
-	if lv.Generation() == gen {
-		t.Error("readmission must advance the generation")
 	}
 	// Acks about unsuspected nodes are no-ops.
 	lv.ObserveAck(4, 5, false)
@@ -316,7 +312,7 @@ func TestLivenessProbation(t *testing.T) {
 	// Nil receiver: every method is inert.
 	var nilLv *Liveness
 	if nilLv.Suspect(1) || nilLv.Suspected(1) || nilLv.SuspectCount() != 0 ||
-		nilLv.AvoidSet(0, 1) != nil || nilLv.AvoidFor(0, 1) != nil || nilLv.Generation() != 0 {
+		nilLv.AvoidSet(0, 1) != nil || nilLv.AvoidFor(0, 1) != nil {
 		t.Error("nil liveness table must be inert")
 	}
 	nilLv.ObserveAck(1, 1, true)

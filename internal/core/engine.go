@@ -146,7 +146,7 @@ func (e *Engine) label() string { return "engine" }
 func (e *Engine) Route(s, t sim.NodeID) Outcome {
 	e.inflight.Add(1)
 	defer e.inflight.Add(-1)
-	k := planKey{kind: kindOutcome, abs: e.absID(), a: s, b: t, gen: e.linkGen(), topo: e.topoGen(), rep: e.repGen()}
+	k := planKey{kind: kindOutcome, abs: e.absID(), a: s, b: t, topo: e.topoGen()}
 	if v, hit := e.lookup(k); hit {
 		sc := e.scratch.Get().(*routeScratch)
 		out := *v.out
@@ -241,45 +241,28 @@ const (
 
 // planKey identifies one cacheable sub-result. Exit plans additionally
 // depend on the continuous "toward" point, carried as raw coordinates.
-// gen is the LinkStats generation the fragment was computed under: when
-// link-quality estimates shift, the generation advances and stale cached
-// fragments simply stop being addressable (they age out of the LRU). On a
-// lossless run the generation stays 0 forever, so caching is unchanged.
+// The planner reads only the topology and the hole geometry — never the
+// link-quality estimates or the liveness table, which the transport applies
+// on top of a cached plan — so those two fields version a key completely.
 // topo is the Network's topology-repair generation: a membership change
 // (crash or recovery) advances it, so every fragment planned over the old
-// topology dies with the change instead of misrouting traffic into a dead
-// node — same invalidation-by-unaddressability scheme, same zero cost while
-// the membership is static. abs is the hole abstraction backend ID: plan
-// fragments computed under one abstraction are never served to another
-// (a repair can swap the Abstraction instance, and engines may share a
-// Network whose backend differs from what a stale key assumed).
-// rep is the reputation generation: verified-delivery scores shifting make
-// reputation-weighted fragments stale the same way link estimates do. It
-// stays 0 whenever the table is absent or untouched (every clean run).
+// topology stops being addressable (it ages out of the LRU) instead of
+// misrouting traffic into a dead node; while the membership is static it
+// costs nothing. abs is the hole abstraction backend ID: plan fragments
+// computed under one abstraction are never served to another (a repair can
+// swap the Abstraction instance, and engines may share a Network whose
+// backend differs from what a stale key assumed).
 type planKey struct {
 	kind int8
 	abs  uint8
 	gi   int32
 	a, b sim.NodeID
 	x, y float64
-	gen  uint64
 	topo uint64
-	rep  uint64
-}
-
-// linkGen is the current link-quality generation to stamp into plan keys.
-func (e *Engine) linkGen() uint64 {
-	if e.nw.Link == nil {
-		return 0
-	}
-	return e.nw.Link.Generation()
 }
 
 // topoGen is the current topology-repair generation to stamp into plan keys.
 func (e *Engine) topoGen() uint64 { return e.nw.TopoGeneration() }
-
-// repGen is the current reputation generation to stamp into plan keys.
-func (e *Engine) repGen() uint64 { return e.nw.Rep.Generation() }
 
 // absID is the hole abstraction backend identifier to stamp into plan keys.
 func (e *Engine) absID() uint8 { return e.nw.Abs.ID() }
@@ -296,7 +279,7 @@ type planValue struct {
 }
 
 func (e *Engine) groupPathNodes(gi int, s, t sim.NodeID) ([]sim.NodeID, bool) {
-	k := planKey{kind: kindGroupPath, abs: e.absID(), gi: int32(gi), a: s, b: t, gen: e.linkGen(), topo: e.topoGen(), rep: e.repGen()}
+	k := planKey{kind: kindGroupPath, abs: e.absID(), gi: int32(gi), a: s, b: t, topo: e.topoGen()}
 	if v, hit := e.lookup(k); hit {
 		return copyIDs(v.wps), v.ok
 	}
@@ -306,7 +289,7 @@ func (e *Engine) groupPathNodes(gi int, s, t sim.NodeID) ([]sim.NodeID, bool) {
 }
 
 func (e *Engine) exitPlan(gi int, v sim.NodeID, toward geom.Point) ([]sim.NodeID, sim.NodeID, bool) {
-	k := planKey{kind: kindExitPlan, abs: e.absID(), gi: int32(gi), a: v, x: toward.X, y: toward.Y, gen: e.linkGen(), topo: e.topoGen(), rep: e.repGen()}
+	k := planKey{kind: kindExitPlan, abs: e.absID(), gi: int32(gi), a: v, x: toward.X, y: toward.Y, topo: e.topoGen()}
 	if c, hit := e.lookup(k); hit {
 		return copyIDs(c.wps), c.exit, c.ok
 	}
@@ -316,7 +299,7 @@ func (e *Engine) exitPlan(gi int, v sim.NodeID, toward geom.Point) ([]sim.NodeID
 }
 
 func (e *Engine) overlayWaypoints(a, b sim.NodeID) ([]sim.NodeID, bool) {
-	k := planKey{kind: kindOverlay, abs: e.absID(), a: a, b: b, gen: e.linkGen(), topo: e.topoGen(), rep: e.repGen()}
+	k := planKey{kind: kindOverlay, abs: e.absID(), a: a, b: b, topo: e.topoGen()}
 	if v, hit := e.lookup(k); hit {
 		return copyIDs(v.wps), v.ok
 	}
@@ -370,9 +353,7 @@ func shardOf(k planKey, shards int) int {
 	h = fnvMix(h, uint64(k.b))
 	h = fnvMix(h, math.Float64bits(k.x))
 	h = fnvMix(h, math.Float64bits(k.y))
-	h = fnvMix(h, k.gen)
 	h = fnvMix(h, k.topo)
-	h = fnvMix(h, k.rep)
 	return int(h % uint64(shards))
 }
 

@@ -91,3 +91,87 @@ func TestHullBackendByteIdentical(t *testing.T) {
 		t.Fatalf("hull backend routing output drifted from the pre-refactor seed: digest %s, want %s", got, goldenHullDigest)
 	}
 }
+
+// goldenTransportDigest pins the reliable transport's observable output —
+// every TransportReport field and the error text of a fixed batch of
+// deliveries under loss, static crashes, scheduled churn and Byzantine
+// adversaries, planned through both the Network and the Engine — so a
+// restructuring of the transport must reproduce it byte for byte.
+const goldenTransportDigest = "5e67da22b6a4a89b"
+
+// transportDigest runs the golden delivery batch on fresh copies of the
+// golden scenario, once per planner, and hashes every report.
+func transportDigest(t testing.TB) string {
+	h := fnv.New64a()
+	for _, viaEngine := range []bool{false, true} {
+		nw := goldenScenario(t)
+		n := nw.G.N()
+		var pairs [][2]sim.NodeID
+		var endpoints []sim.NodeID
+		for i := 0; i < 12; i++ {
+			s, d := sim.NodeID((i*37+5)%n), sim.NodeID((i*101+n/2)%n)
+			if s == d {
+				continue
+			}
+			pairs = append(pairs, [2]sim.NodeID{s, d})
+			endpoints = append(endpoints, s, d)
+		}
+		protected := make(map[sim.NodeID]bool, len(endpoints))
+		for _, v := range endpoints {
+			protected[v] = true
+		}
+		var crashed []sim.NodeID
+		for v := sim.NodeID(n / 3); len(crashed) < 3; v += 17 {
+			if !protected[v%sim.NodeID(n)] {
+				crashed = append(crashed, v%sim.NodeID(n))
+			}
+		}
+		eng := NewEngine(nw, EngineConfig{Workers: 1})
+		deliver := func(s, d sim.NodeID, opt TransportOptions) {
+			var rep *TransportReport
+			var err error
+			if viaEngine {
+				rep, err = eng.RouteOnSimOpt(s, d, opt)
+			} else {
+				rep, err = nw.RouteOnSimOpt(s, d, opt)
+			}
+			fmt.Fprintf(h, "%v %d %d %+v %v\n", viaEngine, s, d, *rep, err)
+		}
+		// Lossless and forced-reliable deliveries on the clean network.
+		for _, p := range pairs[:3] {
+			deliver(p[0], p[1], TransportOptions{PayloadWords: 16})
+			deliver(p[0], p[1], TransportOptions{PayloadWords: 16, Reliable: true})
+		}
+		// Loss, static crashes and churn; then the same plus adversaries,
+		// which engages verified delivery.
+		cfg := sim.FaultConfig{
+			AdHocLoss: 0.05,
+			Seed:      19,
+			Crashed:   crashed,
+			Churn:     sim.GenerateChurn(23, n, 3000, 8, 200, append(endpoints, crashed...)),
+		}
+		for _, adv := range []bool{false, true} {
+			if adv {
+				cfg.Adversary = sim.AdversaryConfig{Fraction: 0.20, Behaviors: sim.AdvAll, Exempt: endpoints}
+			}
+			if err := nw.Sim.SetFaults(cfg); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pairs {
+				deliver(p[0], p[1], TransportOptions{PayloadWords: 32})
+			}
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestTransportGoldenDigest pins the reliable transport's reports to the
+// digest recorded before its restructuring.
+func TestTransportGoldenDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden transport batch is not short")
+	}
+	if got := transportDigest(t); got != goldenTransportDigest {
+		t.Fatalf("transport reports drifted from the recorded batch: digest %s, want %s", got, goldenTransportDigest)
+	}
+}

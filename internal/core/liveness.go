@@ -12,7 +12,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"hybridroute/internal/sim"
 )
@@ -35,7 +34,6 @@ type Liveness struct {
 	suspected []bool
 	clean     []int // consecutive clean first-attempt acks while suspected
 	count     int   // currently suspected nodes
-	gen       atomic.Uint64
 }
 
 // NewLiveness builds an all-trusted table for n nodes.
@@ -60,7 +58,6 @@ func (lv *Liveness) Suspect(v sim.NodeID) bool {
 	}
 	lv.suspected[v] = true
 	lv.count++
-	lv.gen.Add(1)
 	return true
 }
 
@@ -83,7 +80,6 @@ func (lv *Liveness) ObserveAck(to sim.NodeID, attempts int, acked bool) {
 			lv.suspected[to] = false
 			lv.clean[to] = 0
 			lv.count--
-			lv.gen.Add(1)
 		}
 		return
 	}
@@ -108,15 +104,6 @@ func (lv *Liveness) SuspectCount() int {
 	lv.mu.Lock()
 	defer lv.mu.Unlock()
 	return lv.count
-}
-
-// Generation counts suspicion changes; plan-affecting state shifts advance it
-// so diagnostics can tell "same suspects" from "same count, different nodes".
-func (lv *Liveness) Generation() uint64 {
-	if lv == nil {
-		return 0
-	}
-	return lv.gen.Load()
 }
 
 // AvoidSet returns the hard avoid set — every current suspect except the

@@ -469,32 +469,11 @@ const lossDetourSlack = 1.05
 // dead nodes removed (the p̂ → 1 limit; t itself stays reachable, matching
 // ShortestPathAvoiding's endpoint exemption).
 func (nw *Network) etxWeight(t sim.NodeID, avoid map[sim.NodeID]bool) delaunay.EdgeWeight {
-	return nw.costWeight(t, avoid, false)
-}
-
-// costWeight is etxWeight with the reputation multiplier folded in when
-// reputation-aware planning is engaged: traversing node v costs its link ETX
-// times the inverse of v's verified-delivery score, so plans drain away from
-// nodes whose paths keep failing end-to-end verification. With every node at
-// full trust the multiplier is 1 and the two weightings coincide.
-func (nw *Network) costWeight(t sim.NodeID, avoid map[sim.NodeID]bool, repAware bool) delaunay.EdgeWeight {
-	if !repAware || nw.Rep == nil {
-		return func(u, v udg.NodeID) float64 {
-			if avoid[v] && v != t {
-				return math.Inf(1)
-			}
-			return nw.Link.ETX(u, v)
-		}
-	}
 	return func(u, v udg.NodeID) float64 {
 		if avoid[v] && v != t {
 			return math.Inf(1)
 		}
-		w := nw.Link.ETX(u, v)
-		if v != t {
-			w *= nw.Rep.Weight(v)
-		}
-		return w
+		return nw.Link.ETX(u, v)
 	}
 }
 
@@ -503,7 +482,7 @@ func (nw *Network) costWeight(t sim.NodeID, avoid map[sim.NodeID]bool, repAware 
 // length, keeping the plan otherwise. It reports whether the plan changed.
 // With an empty estimator every ETX is 1, both costs coincide and the plan
 // is always kept — loss-aware mode is inert until loss has been observed.
-func (nw *Network) applyLossDetour(out *Outcome, t sim.NodeID, avoid map[sim.NodeID]bool, repAware bool) bool {
+func (nw *Network) applyLossDetour(out *Outcome, t sim.NodeID, avoid map[sim.NodeID]bool) bool {
 	if nw.Link == nil || !out.Reached || len(out.Path) < 2 {
 		return false
 	}
@@ -512,16 +491,12 @@ func (nw *Network) applyLossDetour(out *Outcome, t sim.NodeID, avoid map[sim.Nod
 		v := out.Path[i]
 		l := nw.G.Point(out.Path[i-1]).Dist(nw.G.Point(v))
 		geo += l
-		c := l * nw.Link.ETX(out.Path[i-1], v)
-		if repAware && nw.Rep != nil && v != t {
-			c *= nw.Rep.Weight(v)
-		}
-		exp += c
+		exp += l * nw.Link.ETX(out.Path[i-1], v)
 	}
 	if exp <= geo*lossDetourSlack {
 		return false
 	}
-	path, cost, ok := nw.LDel.ShortestPathWeighted(out.Path[0], t, nw.costWeight(t, avoid, repAware))
+	path, cost, ok := nw.LDel.ShortestPathWeighted(out.Path[0], t, nw.etxWeight(t, avoid))
 	if !ok || cost >= exp {
 		return false
 	}

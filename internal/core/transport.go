@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"hybridroute/internal/sim"
@@ -70,7 +71,7 @@ type rdataMsg struct {
 	payload int
 	plan    string
 	// launch tags the payload with the end-to-end launch epoch it belongs to
-	// (rsourceState.launch). A nack echoes it so the source can tell a live
+	// (reliableRun.launch). A nack echoes it so the source can tell a live
 	// corridor's distress from a relic of an epoch the relaunch already
 	// replaced — resuming a stale strand would graft the abandoned corridor
 	// (and whoever swallowed its payload) into the new launch's verification
@@ -150,11 +151,6 @@ type TransportOptions struct {
 	// away from links whose observed loss estimate (Network.Link) makes
 	// their expected transmission cost exceed a clean detour's.
 	LossAware LossAwareMode
-	// Reputation selects reputation-weighted planning: plans and replans
-	// additionally weight nodes by their verified-delivery score
-	// (Network.Rep), draining traffic away from nodes whose paths keep
-	// failing end-to-end verification.
-	Reputation ReputationMode
 }
 
 // LossAwareMode selects when route planning consults the link-quality
@@ -171,22 +167,6 @@ const (
 	LossAwareOn
 	// LossAwareOff never does: the retry-through baseline.
 	LossAwareOff
-)
-
-// ReputationMode selects when route planning consults the verified-delivery
-// reputation table.
-type ReputationMode int
-
-const (
-	// ReputationAuto engages reputation-weighted planning exactly when the
-	// simulator has Byzantine adversaries installed — the default. The table
-	// is all-trust until verifications fail, so even then it starts inert.
-	ReputationAuto ReputationMode = iota
-	// ReputationOn always consults the table (still a no-op without one).
-	ReputationOn
-	// ReputationOff never does: the unweighted baseline the E22 sweep
-	// compares against.
-	ReputationOff
 )
 
 // DefaultRetries is the per-hop retransmission budget when none is given.
@@ -272,40 +252,9 @@ func (nw *Network) routeOnSim(planner planSource, s, t sim.NodeID, opt Transport
 	if opt.Reliable || nw.Sim.FaultsActive() {
 		lossAware := opt.LossAware == LossAwareOn ||
 			(opt.LossAware == LossAwareAuto && nw.Sim.FaultsActive())
-		repAware := nw.Rep != nil && (opt.Reputation == ReputationOn ||
-			(opt.Reputation == ReputationAuto && nw.Sim.AdversaryActive()))
-		// Reputation deliberately does NOT touch the initial plan. The debit
-		// signal cannot localize a thief (a failed launch debits every interior
-		// node), so steering first launches by score detours them around mostly
-		// framed bystanders — through longer corridors that cross *more*
-		// adversaries — and an avoided innocent never carries traffic again, so
-		// it can never redeem its score. Routing first launches straight keeps
-		// redemption credits flowing and reserves the table for what it is
-		// actually good at: choosing among detours once a corridor has already
-		// failed (replans and relaunches below).
-		if lossAware && nw.applyLossDetour(&rep.Outcome, t, nil, false) {
-			rep.Detours++
-			initialPlan = planLDelETX
-		}
-		// Suspect-based failover: when the plan crosses a node the liveness
-		// table currently suspects, divert immediately instead of burning a
-		// retry budget through it. AvoidFor exempts the nodes this query is
-		// elected to probe (so recoveries are eventually observed); if no path
-		// avoids every suspect the plan stands and the retry protocol
-		// adjudicates.
-		avoid := nw.Live.AvoidFor(s, t)
-		if len(avoid) > 0 && pathHitsAny(rep.Path, avoid) {
-			if p := nw.suspectDetourPath(s, t, avoid, lossAware, false); p != nil {
-				rep.Path = p
-				rep.Waypoints = nil
-				rep.SuspectDetours++
-				initialPlan = planSuspectAvoid
-				if nw.tracer != nil {
-					nw.tracer.Emit(trace.Event{Kind: trace.KindDetour, From: int(s), To: int(t), Plan: planSuspectAvoid, Value: len(avoid)})
-				}
-			}
-		}
-		return nw.deliverReliable(planner, s, t, opt, rep, lossAware, repAware, initialPlan)
+		r := nw.newReliableRun(planner, s, t, opt, rep, lossAware, initialPlan)
+		r.divertInitialPlan()
+		return r.deliver()
 	}
 	return nw.deliverLossless(s, t, opt.PayloadWords, rep, initialPlan)
 }
@@ -405,27 +354,14 @@ func (nw *Network) deliverLossless(s, t sim.NodeID, payloadWords int, rep *Trans
 	// case was answered before any message moved.
 	rep.DeliveredSim = delivered
 	if !rep.DeliveredSim {
-		if v, ok := minID(misroutedAt); ok {
-			return rep, fmt.Errorf("core: misrouted plan: remaining path exhausted at node %d before reaching %d", v, t)
+		if len(misroutedAt) > 0 {
+			// The smallest holder keeps the message deterministic regardless
+			// of append order under parallel stepping.
+			return rep, fmt.Errorf("core: misrouted plan: remaining path exhausted at node %d before reaching %d", slices.Min(misroutedAt), t)
 		}
 		return rep, fmt.Errorf("core: payload did not arrive at %d", t)
 	}
 	return rep, nil
-}
-
-// minID returns the smallest ID in the sparse set (keeping error messages
-// deterministic regardless of append order under parallel stepping).
-func minID(ids []sim.NodeID) (sim.NodeID, bool) {
-	if len(ids) == 0 {
-		return 0, false
-	}
-	m := ids[0]
-	for _, v := range ids[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m, true
 }
 
 // --- reliable transport ---
@@ -506,32 +442,49 @@ type rnode struct {
 	abandoned *rstrand
 }
 
-// rsourceState is the extra state of the query source.
-type rsourceState struct {
-	posSentAt      int
-	posAttempts    int
-	havePos        bool
-	dead           map[sim.NodeID]bool
-	replans        int
-	detours        int
-	suspectDetours int
-	failure        string
-	// Verified-delivery protocol state (engaged only under adversaries).
-	verified   bool         // the destination confirmed arrival
-	verSentAt  int          // round of the last verification poll (-1: none yet)
-	verFails   int          // "not delivered" replies since the current launch
-	launch     int          // payload launch number (0 = initial)
-	launchedAt int          // round the current launch (or its last resume) started
-	launchVia  []sim.NodeID // interior nodes handed a leg of the current launch
+// reliableRun is one query under the ack/retry/replan protocol. Every node's
+// protocol step is reliableRun.step; it dispatches each message kind and each
+// timer to a method of its own. The source fields are touched only by s's
+// step and each rnode only by its own node's, so parallel stepping stays
+// race-free; the driver reads everything after the run has quiesced.
+type reliableRun struct {
+	nw          *Network
+	planner     planSource
+	s, t        sim.NodeID
+	opt         TransportOptions
+	rep         *TransportReport
+	tr          *trace.Tracer
+	lossAware   bool   // replans consult the link-quality estimates
+	initialPlan string // planner label of the starting plan, for trace attribution
+	// verif engages the end-to-end verified-delivery protocol exactly when
+	// the simulator has Byzantine adversaries installed: hop-by-hop acks are
+	// trustworthy against plain loss and crashes, and keeping the protocol
+	// off then preserves those runs byte for byte.
+	verif    bool
+	retries  int
+	timeout  int
+	deadline int
+	// launchBudget is how long the source lets one launch stay unverified
+	// (and itself idle) before relaunching end to end: a clean traversal of
+	// the plan plus one retransmission round trip per hop.
+	launchBudget int
+	st           []rnode
+
+	// Source state.
+	posSentAt   int
+	posAttempts int
+	havePos     bool
+	dead        map[sim.NodeID]bool
+	failure     string
+	// Verified-delivery state (engaged only under adversaries).
+	verSentAt  int // round of the last verification poll (-1: none yet)
+	verFails   int // "not delivered" replies since the current launch
+	launch     int // payload launch number (0 = initial)
+	launchedAt int // round the current launch (or its last resume) started
+	// launchSeen holds the interior nodes handed a leg of the current
+	// launch: probation credit requires membership, and a relaunch steers
+	// around them.
 	launchSeen map[sim.NodeID]bool
-	resends    int // end-to-end relaunches after failed verification
-	// extraAvoid is set transiently around a relaunch replan: the interior
-	// nodes of the launch that just failed verification. A selective-drop
-	// adversary black-holes flows deterministically, so relaunching down the
-	// same corridor fails the same way — diversifying the corridor is the
-	// recovery. replanFrom treats these like suspects (soft: readmitted if
-	// no path clears them).
-	extraAvoid map[sim.NodeID]bool
 	// resumeBudget caps how many stranded corridors the current launch may
 	// resume with a fresh path. Every resume opens a corridor that can
 	// strand again (and, with retries, nack several times more), so under
@@ -541,648 +494,644 @@ type rsourceState struct {
 	resumeBudget int
 }
 
-// noteLaunchPath records the interior nodes of a path handed out for the
-// current launch, so verification outcomes can credit or debit them.
-func (src *rsourceState) noteLaunchPath(path []sim.NodeID, s, t sim.NodeID) {
-	for _, v := range path {
-		if v == s || v == t || src.launchSeen[v] {
-			continue
-		}
-		if src.launchSeen == nil {
-			src.launchSeen = make(map[sim.NodeID]bool)
-		}
-		src.launchSeen[v] = true
-		src.launchVia = append(src.launchVia, v)
-	}
-}
-
-// resetLaunchPath clears the per-launch node record for a fresh launch.
-func (src *rsourceState) resetLaunchPath() {
-	src.launchVia = src.launchVia[:0]
-	for v := range src.launchSeen {
-		delete(src.launchSeen, v)
-	}
-}
-
-// suspectDetourPath plans s→t around the suspect avoid set over LDel²:
-// ETX-weighted when loss-aware planning is engaged (the detour then also
-// prefers low-loss links), plain node-avoiding otherwise. Returns nil when no
-// path avoids every suspect — suspicion is not proof of death, so the caller
-// then routes through the suspect and lets the retry protocol adjudicate.
-func (nw *Network) suspectDetourPath(s, t sim.NodeID, avoid map[sim.NodeID]bool, lossAware, repAware bool) []sim.NodeID {
-	if lossAware || repAware {
-		if p, _, ok := nw.LDel.ShortestPathWeighted(s, t, nw.costWeight(t, avoid, repAware)); ok {
-			return p
-		}
-		return nil
-	}
-	if p, _, ok := nw.LDel.ShortestPathAvoiding(s, t, avoid); ok {
-		return p
-	}
-	return nil
-}
-
-// deliverReliable runs the ack/retry/replan protocol for one query. With
-// lossAware set, every replan consults the link-quality estimates and may
-// substitute an ETX-weighted detour for the geometric plan. initialPlan
-// labels the planner that produced the starting plan, for trace attribution.
-func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt TransportOptions, rep *TransportReport, lossAware, repAware bool, initialPlan string) (*TransportReport, error) {
+// newReliableRun prepares the reliable delivery of rep's plan from s to t;
+// initialPlan labels the planner that produced it.
+func (nw *Network) newReliableRun(planner planSource, s, t sim.NodeID, opt TransportOptions, rep *TransportReport, lossAware bool, initialPlan string) *reliableRun {
 	retries := opt.Retries
 	if retries <= 0 {
 		retries = DefaultRetries
 	}
-	// verif engages the end-to-end verified-delivery protocol exactly when
-	// the simulator has Byzantine adversaries installed: hop-by-hop acks are
-	// trustworthy against plain loss and crashes, and keeping the protocol
-	// off then preserves those runs byte for byte.
-	verif := nw.Sim.AdversaryActive()
-	timeout := opt.TimeoutRounds
-	if timeout <= 0 {
+	return &reliableRun{
+		nw: nw, planner: planner, s: s, t: t, opt: opt, rep: rep, tr: nw.tracer,
+		lossAware: lossAware, initialPlan: initialPlan, verif: nw.Sim.AdversaryActive(), retries: retries,
+		posSentAt: -1, verSentAt: -1, dead: make(map[sim.NodeID]bool),
+	}
+}
+
+// divertInitialPlan adjusts the starting plan before launch. Loss-aware
+// planning swaps in an ETX detour when the plan crosses links observed
+// dropping messages. Suspect-based failover then diverts a plan that crosses
+// a node the liveness table currently suspects, instead of burning a retry
+// budget through it. AvoidFor exempts the nodes this query is elected to
+// probe (so recoveries are eventually observed); if no path avoids every
+// suspect the plan stands and the retry protocol adjudicates.
+func (r *reliableRun) divertInitialPlan() {
+	rep := r.rep
+	if r.lossAware && r.nw.applyLossDetour(&rep.Outcome, r.t, nil) {
+		rep.Detours++
+		r.initialPlan = planLDelETX
+	}
+	avoid := r.nw.Live.AvoidFor(r.s, r.t)
+	if len(avoid) == 0 || !pathHitsAny(rep.Path, avoid) {
+		return
+	}
+	p, _, ok := r.escapePath(r.s, avoid)
+	if !ok {
+		return
+	}
+	rep.Path = p
+	rep.Waypoints = nil
+	rep.SuspectDetours++
+	r.initialPlan = planSuspectAvoid
+	if r.tr != nil {
+		r.tr.Emit(trace.Event{Kind: trace.KindDetour, From: int(r.s), To: int(r.t), Plan: planSuspectAvoid, Value: len(avoid)})
+	}
+}
+
+// deliver runs the protocol on the simulator and reports the outcome.
+func (r *reliableRun) deliver() (*TransportReport, error) {
+	nw := r.nw
+	r.timeout = r.opt.TimeoutRounds
+	if r.timeout <= 0 {
 		// Budget: every hop may burn (retries+1) attempts of ackWait+1
 		// rounds, plus handshake, nack/resume round trips and slack for
 		// replanned (longer) paths. Verified delivery may relaunch the
 		// payload end to end up to `retries` times, so its budget doubles.
-		timeout = (len(rep.Path)+8)*(ackWait+1)*(retries+1) + 32
-		if verif {
-			timeout *= 2
+		r.timeout = (len(r.rep.Path)+8)*(ackWait+1)*(r.retries+1) + 32
+		if r.verif {
+			r.timeout *= 2
 		}
 	}
-	// launchBudget is how long the source lets one launch stay unverified
-	// (and itself idle) before relaunching end to end: a clean traversal of
-	// the plan plus one retransmission round trip per hop.
-	launchBudget := (len(rep.Path) + 2) * (ackWait + 1)
+	r.launchBudget = (len(r.rep.Path) + 2) * (ackWait + 1)
 	pr := nw.probe()
-	tr := nw.tracer
-	deadline := nw.Sim.Rounds() + timeout
-
+	r.deadline = nw.Sim.Rounds() + r.timeout
 	// Per-node duplicate-suppression maps are created lazily on first packet
-	// receipt: only nodes the payload actually crosses pay for them, where
-	// the old eager loop allocated n maps per query.
-	st := make([]rnode, nw.G.N())
-	src := &rsourceState{posSentAt: -1, verSentAt: -1, dead: make(map[sim.NodeID]bool)}
-
-	// replanFrom computes a fresh hop path holder→t around the known-dead
-	// nodes and the liveness table's current suspects: first through the
-	// hybrid planner (Network or Engine plan cache), loss-detoured when the
-	// mode is on; if that plan crosses a dead or suspected node, through an
-	// LDel² shortest path with the avoid set removed (ETX-weighted in
-	// loss-aware mode, so the escape route also prefers low-loss links).
-	// Mid-query replans never probe a suspect — the payload at stake just
-	// lost a retry budget — but suspicion stays soft: if no path avoids every
-	// suspect, the suspects are readmitted and only the dead set is avoided.
-	// The second return names the planner that produced the path, for trace
-	// attribution.
-	replanFrom := func(holder sim.NodeID) ([]sim.NodeID, string, bool) {
-		avoid := src.dead
-		suspects := nw.Live.AvoidSet(holder, t)
-		// Reputation enters recovery planning only through the soft weights in
-		// costWeight below — never as a hard avoid set. Hard-avoiding every
-		// low-score node routinely leaves no plannable path at high adversary
-		// density (most low scores are framed bystanders), and each "no path"
-		// escape burns a launch slot the query needed for real attempts.
-		if len(src.extraAvoid) > 0 {
-			suspects = mergeAvoid(suspects, src.extraAvoid)
-		}
-		if len(suspects) > 0 {
-			avoid = make(map[sim.NodeID]bool, len(src.dead)+len(suspects))
-			for v := range src.dead {
-				avoid[v] = true
-			}
-			for v := range suspects {
-				avoid[v] = true
-			}
-		}
-		out := nw.route(planner, holder, t, false)
-		if out.Reached && !pathHitsAny(out.Path, avoid) {
-			plan := planner.label()
-			if out.PlanFallback {
-				plan = planLDelFallback
-			}
-			if (lossAware || repAware) && nw.applyLossDetour(&out, t, avoid, repAware) {
-				src.detours++
-				plan = planLDelETX
-			}
-			return out.Path, plan, true
-		}
-		suspectsOnly := out.Reached && !pathHitsAny(out.Path, src.dead)
-		if lossAware || repAware {
-			if p, _, ok := nw.LDel.ShortestPathWeighted(holder, t, nw.costWeight(t, avoid, repAware)); ok {
-				if suspectsOnly {
-					src.suspectDetours++
-					return p, planSuspectAvoid, true
-				}
-				return p, planLDelETX, true
-			}
-		}
-		if p, _, ok := nw.LDel.ShortestPathAvoiding(holder, t, avoid); ok {
-			if suspectsOnly {
-				src.suspectDetours++
-				return p, planSuspectAvoid, true
-			}
-			return p, planLDelAvoid, true
-		}
-		if len(suspects) > 0 {
-			// No path clears every suspect: readmit them and avoid only the
-			// nodes whose retry budgets actually died on this query.
-			if lossAware || repAware {
-				if p, _, ok := nw.LDel.ShortestPathWeighted(holder, t, nw.costWeight(t, src.dead, repAware)); ok {
-					return p, planLDelETX, true
-				}
-			}
-			if p, _, ok := nw.LDel.ShortestPathAvoiding(holder, t, src.dead); ok {
-				return p, planLDelAvoid, true
-			}
-		}
-		if verif {
-			// Even the dead set cuts holder from t. Under adversaries that
-			// set is itself unreliable — a frame-shifting forger fills it
-			// with innocent neighbors of the corridor until the target looks
-			// disconnected — so as a last resort readmit it. If a readmitted
-			// node really is dead the launch fails verification and the
-			// relaunch machinery owns the failure; if it was framed, the
-			// query gets through. Reputation weights (when on) still steer
-			// the path toward the least-distrusted of the readmitted nodes.
-			if lossAware || repAware {
-				if p, _, ok := nw.LDel.ShortestPathWeighted(holder, t, nw.costWeight(t, nil, repAware)); ok {
-					return p, planLDelETX, true
-				}
-			}
-			if p, _, ok := nw.LDel.ShortestPathAvoiding(holder, t, nil); ok {
-				return p, planLDelAvoid, true
-			}
-		}
-		return nil, "", false
-	}
-
-	// sendData starts (and registers) one transfer from v to `to`; plan tags
-	// the planner whose path this leg executes, launch the epoch the payload
-	// belongs to.
-	sendData := func(ctx *sim.Context, me *rnode, round int, to sim.NodeID, path []sim.NodeID, payload int, plan string, launch int) {
-		m := rdataMsg{n: me.nextN, src: s, path: path, payload: payload, plan: plan, launch: launch}
-		me.nextN++
-		if tr != nil {
-			tr.Emit(trace.Event{Kind: trace.KindHopSend, Round: round, From: int(ctx.ID()), To: int(to), Seq: m.n, Attempt: 1, Plan: plan})
-		}
-		ctx.SendAdHoc(to, m)
-		me.pends = append(me.pends, &rpending{to: to, msg: m, sentAt: round, attempts: 1})
-	}
-
-	// strandMisroute parks a payload an honest holder cannot forward — the
-	// previous hop handed it a plan that does not start at one of the
-	// holder's neighbors, i.e. the payload was misrouted — and notifies the
-	// source, blaming the forwarder. The existing nack/resume machinery then
-	// replans around the adversary and resumes from here. Only runs under
-	// verification (a trusted network never produces unforwardable plans).
-	strandMisroute := func(ctx *sim.Context, me *rnode, round int, v sim.NodeID, payload int, blame sim.NodeID, launch int) {
-		me.misdetect++
-		me.nextN++
-		sd := &rstrand{seq: me.nextN, payload: payload, sentAt: round, attempts: 1, dead: blame, launch: launch}
-		me.strands = append(me.strands, sd)
-		if tr != nil {
-			tr.Emit(trace.Event{Kind: trace.KindMisrouteDetected, Round: round, From: int(v), To: int(blame), Seq: sd.seq})
-		}
-		if nw.Live.Suspect(blame) {
-			me.suspects++
-			if tr != nil {
-				tr.Emit(trace.Event{Kind: trace.KindSuspect, Round: round, From: int(v), To: int(blame)})
-			}
-		}
-		ctx.SendLong(s, nackMsg{seq: sd.seq, dead: blame, launch: launch})
-	}
-
+	// receipt: only nodes the payload actually crosses pay for them.
+	r.st = make([]rnode, nw.G.N())
 	nw.Sim.SetAllProtos(func(v sim.NodeID) sim.Proto {
 		return sim.ProtoFunc(func(ctx *sim.Context, round int, inbox []sim.Envelope) {
-			me := &st[v]
-			if v == s && src.posSentAt < 0 && src.failure == "" {
-				src.posSentAt = round
-				src.posAttempts = 1
-				ctx.SendLong(t, posQuery{})
-			}
-			for _, env := range inbox {
-				switch msg := env.Msg.(type) {
-				case posQuery:
-					p := ctx.Pos()
-					ctx.SendLong(env.From, posReply{x: p.X, y: p.Y})
-				case posReply:
-					if v == s && !src.havePos {
-						src.havePos = true
-						if len(rep.Path) > 1 {
-							src.launchedAt = round
-							src.resumeBudget = len(rep.Path) + 2*retries
-							src.noteLaunchPath(rep.Path, s, t)
-							sendData(ctx, me, round, rep.Path[1], rep.Path[2:], opt.PayloadWords, initialPlan, src.launch)
-						} else {
-							// A plan of one node with s != t cannot deliver.
-							me.misrouted = true
-						}
-					}
-				case rdataMsg:
-					// Always acknowledge — the previous hop may be
-					// retransmitting because our earlier ack was lost.
-					ctx.SendAdHoc(env.From, hopAck{n: msg.n})
-					if me.seen[env.From][msg.n] {
-						continue
-					}
-					if me.seen == nil {
-						me.seen = make(map[sim.NodeID]map[int]bool)
-					}
-					if me.seen[env.From] == nil {
-						me.seen[env.From] = make(map[int]bool)
-					}
-					me.seen[env.From][msg.n] = true
-					me.hopsIn++
-					switch {
-					case v == t && (len(msg.path) == 0 || verif):
-						// Arrival at the destination delivers; under
-						// verification even with plan leftover (a misroute
-						// can land the payload at t early).
-						me.delivered = true
-					case len(msg.path) == 0:
-						if verif {
-							// Plan exhausted at the wrong node: the payload
-							// was misrouted here. Blame the forwarder and ask
-							// the source for a fresh remaining path.
-							strandMisroute(ctx, me, round, v, msg.payload, env.From, msg.launch)
-						} else {
-							me.misrouted = true
-						}
-					case verif && !nw.G.HasEdge(v, msg.path[0]):
-						// The planned next hop is not our neighbor: a
-						// misrouted payload whose plan we cannot legally
-						// follow (strict mode would abort the run). Same
-						// recovery as plan exhaustion.
-						strandMisroute(ctx, me, round, v, msg.payload, env.From, msg.launch)
-					default:
-						sendData(ctx, me, round, msg.path[0], msg.path[1:], msg.payload, msg.plan, msg.launch)
-					}
-				case hopAck:
-					for i, p := range me.pends {
-						if p.to == env.From && p.msg.n == msg.n {
-							if tr != nil {
-								tr.Emit(trace.Event{Kind: trace.KindHopAck, Round: round, From: int(v), To: int(p.to), Seq: p.msg.n, Attempt: p.attempts, Plan: p.msg.plan})
-							}
-							me.obs = append(me.obs, linkObs{to: p.to, attempts: p.attempts, acked: true})
-							me.pends = append(me.pends[:i], me.pends[i+1:]...)
-							break
-						}
-					}
-				case verifyQuery:
-					// End-to-end verification poll: answer truthfully —
-					// unless this node is a colluding adversary covering for
-					// a fellow adversary's discarded payload, in which case
-					// the confirmation is forged.
-					d := me.delivered
-					if !d && verif && nw.Sim.AdversaryLaundered(env.From, v) {
-						d = true
-					}
-					ctx.SendLong(env.From, verifyReply{n: msg.n, delivered: d})
-				case verifyReply:
-					if v != s || msg.n != src.launch || src.verified || src.failure != "" {
-						continue
-					}
-					if msg.delivered {
-						src.verified = true
-						if repAware {
-							// Credit every interior node of the verified
-							// launch's paths.
-							for _, u := range src.launchVia {
-								nw.Rep.Observe(u, true)
-							}
-						}
-					} else {
-						src.verFails++
-					}
-				case nackMsg:
-					if v != s || !src.havePos || src.failure != "" {
-						continue
-					}
-					// Past the deadline no fresh corridor may be opened. The
-					// timers below already stop then, but under adversaries
-					// nacks are born in inbox handlers (a misrouted payload
-					// strands wherever it lands), so without this gate the
-					// nack -> resume -> wander -> nack cycle would outlive the
-					// deadline indefinitely instead of quiescing.
-					if verif && round >= deadline {
-						continue
-					}
-					if verif && msg.launch != src.launch {
-						// The strand belongs to an epoch a relaunch already
-						// replaced: its corridor was abandoned, so release the
-						// payload instead of resuming it. Resuming would graft
-						// the stale corridor — including whoever silently
-						// swallowed its payload — into the current launch's
-						// verification record, crediting nodes the verified
-						// payload never touched.
-						ctx.SendLong(env.From, resumeMsg{seq: msg.seq})
-						continue
-					}
-					if verif && src.resumeBudget <= 0 {
-						// This launch already spent its corridor budget:
-						// release the strand instead of opening yet another
-						// corridor, and force the end-to-end relaunch timer —
-						// the relaunch replans from the source with a refilled
-						// budget and a debited reputation table.
-						ctx.SendLong(env.From, resumeMsg{seq: msg.seq})
-						src.verFails++
-						src.launchedAt = round - launchBudget
-						continue
-					}
-					if verif {
-						src.resumeBudget--
-					}
-					// Under verification a nack's blame is unreliable — a
-					// forger whose own discarded forward never got acked
-					// nacks blaming its innocent next hop, including the
-					// query endpoints themselves. Letting s or t into the
-					// dead set would poison every later replan (no path
-					// reaches an avoided target), so endpoint blame is
-					// ignored there; without adversaries blame is
-					// trustworthy and an unresponsive target rightly ends
-					// the query.
-					if !src.dead[msg.dead] && (!verif || (msg.dead != s && msg.dead != t)) {
-						src.dead[msg.dead] = true
-						src.replans++
-					}
-					full, plan, ok := replanFrom(env.From)
-					if !ok || len(full) < 2 {
-						if verif && src.launch < retries {
-							// The stranded corridor is unrecoverable from the
-							// holder. Under verification this is not fatal:
-							// release the strand and force the end-to-end
-							// relaunch timer (which replans from the source and
-							// debits the abandoned corridor). A frame-shifting
-							// forger can exhaust a holder's whole neighborhood
-							// with bogus nacks without ever cutting s from t.
-							ctx.SendLong(env.From, resumeMsg{seq: msg.seq})
-							src.verFails++
-							src.launchedAt = round - launchBudget
-							continue
-						}
-						src.failure = fmt.Sprintf("no path from %d to %d around dead nodes %v", env.From, t, deadList(src.dead))
-						continue
-					}
-					if tr != nil {
-						tr.Emit(trace.Event{Kind: trace.KindReplan, Round: round, From: int(env.From), To: int(t), Plan: plan, Value: len(src.dead)})
-					}
-					// Record the resumed leg's nodes for verification credit.
-					// Deliberately NOT a relaunch-clock reset: a forger that
-					// keeps nacking (blaming its own neighbors) must not be
-					// able to postpone the end-to-end relaunch forever.
-					src.noteLaunchPath(full, s, t)
-					ctx.SendLong(env.From, resumeMsg{seq: msg.seq, path: full[1:], plan: plan})
-				case resumeMsg:
-					for i, sd := range me.strands {
-						if sd.seq != msg.seq {
-							continue
-						}
-						me.strands = append(me.strands[:i], me.strands[i+1:]...)
-						if len(msg.path) == 0 {
-							// An empty resume under verification releases the
-							// strand: the source abandoned this corridor for a
-							// fresh launch. Without verification it means the
-							// plan cannot continue from here.
-							if !verif {
-								me.misrouted = true
-							}
-						} else {
-							sendData(ctx, me, round, msg.path[0], msg.path[1:], sd.payload, msg.plan, sd.launch)
-						}
-						break
-					}
-				}
-			}
-			if round >= deadline {
-				return // deadline passed: all timers stop, the run quiesces
-			}
-			// Position handshake timer (source only).
-			if v == s && !src.havePos && src.failure == "" {
-				if round >= src.posSentAt+ackWait {
-					if src.posAttempts > retries {
-						src.failure = fmt.Sprintf("position query to %d unanswered after %d attempts", t, src.posAttempts)
-					} else {
-						src.posAttempts++
-						src.posSentAt = round
-						me.retrans++
-						ctx.SendLong(t, posQuery{})
-					}
-				}
-				if src.failure == "" {
-					ctx.KeepAlive()
-				}
-			}
-			// Verified delivery: the source polls the destination end to end
-			// until it confirms arrival, and relaunches the payload from
-			// scratch when a launch stays unverified past its budget with
-			// nothing left in flight at the source — the case a forged hop
-			// acknowledgement produces (every hop "succeeded", the payload
-			// is gone, and no nack will ever come).
-			if verif && v == s && src.havePos && !src.verified && !me.misrouted && src.failure == "" {
-				if src.verSentAt < 0 || round >= src.verSentAt+verifyWait {
-					src.verSentAt = round
-					ctx.SendLong(t, verifyQuery{n: src.launch})
-				}
-				if src.verFails > 0 && round >= src.launchedAt+launchBudget &&
-					len(me.pends) == 0 && len(me.strands) == 0 {
-					if tr != nil {
-						tr.Emit(trace.Event{Kind: trace.KindVerifyFail, Round: round, From: int(s), To: int(t), Attempt: src.launch + 1})
-					}
-					if repAware {
-						// Debit every interior node the failed launch was
-						// routed through: the EWMA, not this one failure,
-						// decides who the next plan trusts.
-						for _, u := range src.launchVia {
-							nw.Rep.Observe(u, false)
-						}
-					}
-					if src.launch >= retries {
-						src.failure = fmt.Sprintf("delivery to %d unverified after %d launches", t, src.launch+1)
-					} else {
-						// Diversify the relaunch: prefer a corridor disjoint
-						// from the one that just failed (replanFrom readmits
-						// these if nothing else clears them). A selective-drop
-						// adversary black-holes flows deterministically, so
-						// relaunching down the same corridor fails the same
-						// way.
-						src.extraAvoid = src.launchSeen
-						full, plan, okRelaunch := replanFrom(s)
-						src.extraAvoid = nil
-						if okRelaunch && len(full) >= 2 {
-							src.launch++
-							src.verFails = 0
-							src.verSentAt = round
-							src.launchedAt = round
-							src.resumeBudget = len(full) + 2*retries
-							src.resends++
-							src.resetLaunchPath()
-							src.noteLaunchPath(full, s, t)
-							if tr != nil {
-								tr.Emit(trace.Event{Kind: trace.KindE2EResend, Round: round, From: int(s), To: int(t), Plan: plan, Value: src.resends})
-							}
-							sendData(ctx, me, round, full[1], full[2:], opt.PayloadWords, plan, src.launch)
-						} else {
-							src.failure = fmt.Sprintf("no relaunch path from %d to %d around dead nodes %v", s, t, deadList(src.dead))
-						}
-					}
-				}
-				if src.failure == "" {
-					ctx.KeepAlive()
-				}
-			}
-			// Hop retransmission timers.
-			for i := 0; i < len(me.pends); {
-				p := me.pends[i]
-				if round < p.sentAt+ackWait {
-					i++
-					continue
-				}
-				if p.attempts <= retries {
-					p.attempts++
-					p.sentAt = round
-					me.retrans++
-					if tr != nil {
-						tr.Emit(trace.Event{Kind: trace.KindHopRetry, Round: round, From: int(v), To: int(p.to), Seq: p.msg.n, Attempt: p.attempts, Plan: p.msg.plan})
-					}
-					ctx.SendAdHoc(p.to, p.msg)
-					i++
-					continue
-				}
-				// Budget exhausted: the hop is dead. The source replans
-				// locally; any other holder strands the payload and raises
-				// a nack. Either way the next hop is marked suspected in the
-				// shared liveness table, so every later plan — this query's
-				// replans and other queries' initial plans — routes around it
-				// without burning another budget.
-				me.pends = append(me.pends[:i], me.pends[i+1:]...)
-				me.obs = append(me.obs, linkObs{to: p.to, attempts: p.attempts, acked: false})
-				if nw.Live.Suspect(p.to) {
-					me.suspects++
-					if tr != nil {
-						tr.Emit(trace.Event{Kind: trace.KindSuspect, Round: round, From: int(v), To: int(p.to), Attempt: p.attempts, Plan: p.msg.plan})
-					}
-				}
-				if v == s {
-					if !src.dead[p.to] {
-						src.dead[p.to] = true
-						src.replans++
-					}
-					full, plan, ok := replanFrom(s)
-					if !ok || len(full) < 2 {
-						if verif && src.launch < retries {
-							// Mirror the nack handler's escape: under
-							// verification an unplannable local replan is not
-							// fatal — force the end-to-end relaunch timer,
-							// which replans from scratch with a debited
-							// reputation table.
-							src.verFails++
-							src.launchedAt = round - launchBudget
-							continue
-						}
-						src.failure = fmt.Sprintf("no path from %d to %d around dead nodes %v", s, t, deadList(src.dead))
-						continue
-					}
-					if tr != nil {
-						tr.Emit(trace.Event{Kind: trace.KindReplan, Round: round, From: int(s), To: int(t), Plan: plan, Value: len(src.dead)})
-					}
-					src.launchedAt = round
-					src.noteLaunchPath(full, s, t)
-					sendData(ctx, me, round, full[1], full[2:], p.msg.payload, plan, src.launch)
-				} else {
-					// The first failure notice is a first send, not a
-					// retransmission — only the timer-driven nack resends
-					// below count, matching sendData's semantics.
-					me.nextN++
-					sd := &rstrand{seq: me.nextN, payload: p.msg.payload, sentAt: round, attempts: 1, dead: p.to, launch: p.msg.launch}
-					me.strands = append(me.strands, sd)
-					if tr != nil {
-						tr.Emit(trace.Event{Kind: trace.KindHopNack, Round: round, From: int(v), To: int(p.to), Seq: sd.seq, Attempt: 1, Plan: p.msg.plan})
-					}
-					ctx.SendLong(s, nackMsg{seq: sd.seq, dead: p.to, launch: sd.launch})
-				}
-			}
-			// Nack retransmission timers (waiting for a resume).
-			for i := 0; i < len(me.strands); {
-				sd := me.strands[i]
-				if round < sd.sentAt+ackWait {
-					i++
-					continue
-				}
-				if sd.attempts > retries {
-					// The source never answered: the payload is abandoned
-					// here. Record the strand so the query error names the
-					// holder and the dead hop instead of reporting a
-					// generic non-arrival.
-					me.abandoned = sd
-					me.strands = append(me.strands[:i], me.strands[i+1:]...)
-					continue
-				}
-				sd.attempts++
-				sd.sentAt = round
-				me.retrans++
-				if tr != nil {
-					tr.Emit(trace.Event{Kind: trace.KindHopNack, Round: round, From: int(v), To: int(sd.dead), Seq: sd.seq, Attempt: sd.attempts})
-				}
-				ctx.SendLong(s, nackMsg{seq: sd.seq, dead: sd.dead, launch: sd.launch})
-				i++
-			}
-			if len(me.pends) > 0 || len(me.strands) > 0 {
-				ctx.KeepAlive()
-			}
+			r.step(v, ctx, round, inbox)
 		})
 	})
-	fillDiagnostics := func() {
-		pr.fill(nw, rep)
-		rep.DeliveredSim = st[t].delivered
-		rep.Replans = src.replans
-		rep.Detours += src.detours
-		rep.SuspectDetours += src.suspectDetours
-		rep.Verified = src.verified
-		rep.E2EResends = src.resends
-		for v := range st {
-			rep.Retransmits += st[v].retrans
-			rep.DataHops += st[v].hopsIn
-			rep.Suspected += st[v].suspects
-			rep.MisrouteDetected += st[v].misdetect
+	_, err := nw.Sim.Run()
+	// A Run abort (MaxRounds exhaustion or a strict-mode violation) still
+	// spent real rounds, messages and retransmissions: the report is filled
+	// either way so callers that tolerate partial failures (experiment
+	// sweeps) still account the work.
+	r.fillReport(pr)
+	if err != nil {
+		return r.rep, err
+	}
+	r.foldObservations()
+	return r.rep, r.outcomeErr()
+}
+
+// step is node v's protocol step for one round: the source opens the
+// position handshake, every message is handled by kind, and the timers run
+// until the deadline passes.
+func (r *reliableRun) step(v sim.NodeID, ctx *sim.Context, round int, inbox []sim.Envelope) {
+	me := &r.st[v]
+	if v == r.s && r.posSentAt < 0 && r.failure == "" {
+		r.posSentAt = round
+		r.posAttempts = 1
+		ctx.SendLong(r.t, posQuery{})
+	}
+	for _, env := range inbox {
+		switch msg := env.Msg.(type) {
+		case posQuery:
+			p := ctx.Pos()
+			ctx.SendLong(env.From, posReply{x: p.X, y: p.Y})
+		case posReply:
+			if v == r.s && !r.havePos {
+				r.onPosReply(ctx, me, round)
+			}
+		case rdataMsg:
+			r.onData(ctx, me, round, env.From, msg)
+		case hopAck:
+			r.onHopAck(me, v, round, env.From, msg)
+		case verifyQuery:
+			r.onVerifyQuery(ctx, me, env.From, msg)
+		case verifyReply:
+			if v == r.s {
+				r.onVerifyReply(msg)
+			}
+		case nackMsg:
+			if v == r.s && r.havePos && r.failure == "" {
+				r.onNack(ctx, round, env.From, msg)
+			}
+		case resumeMsg:
+			r.onResume(ctx, me, round, msg)
 		}
 	}
-	if _, err := nw.Sim.Run(); err != nil {
-		// Run aborted (MaxRounds exhaustion or a strict-mode violation): the
-		// rounds, messages and retransmissions spent up to the abort are real
-		// cost — fill the report before returning so callers that tolerate
-		// partial failures (experiment sweeps) still account the work.
-		fillDiagnostics()
-		return rep, err
+	if round >= r.deadline {
+		return // deadline passed: all timers stop, the run quiesces
 	}
-	fillDiagnostics()
-	if verif && repAware && !src.verified && len(src.launchVia) > 0 {
-		// The run ended (deadline or failure) with the last launch never
-		// verified and never debited: fold the debit now, so the next query
-		// on this network plans around the nodes that swallowed it.
-		for _, u := range src.launchVia {
-			nw.Rep.Observe(u, false)
+	if v == r.s && !r.havePos && r.failure == "" {
+		r.handshakeTimer(ctx, me, round)
+	}
+	if v == r.s && r.verif && r.havePos && !r.rep.Verified && !me.misrouted && r.failure == "" {
+		r.verifyTimer(ctx, me, round)
+	}
+	r.hopTimers(ctx, me, v, round)
+	r.nackTimers(ctx, me, v, round)
+	if len(me.pends) > 0 || len(me.strands) > 0 {
+		ctx.KeepAlive()
+	}
+}
+
+// onPosReply launches the payload along the plan once the source knows the
+// destination's position.
+func (r *reliableRun) onPosReply(ctx *sim.Context, me *rnode, round int) {
+	r.havePos = true
+	path := r.rep.Path
+	if len(path) <= 1 {
+		me.misrouted = true // a plan of one node with s != t cannot deliver
+		return
+	}
+	r.launchedAt = round
+	r.resumeBudget = len(path) + 2*r.retries
+	r.noteLaunchPath(path)
+	r.sendData(ctx, me, round, path[1:], r.opt.PayloadWords, r.initialPlan, r.launch)
+}
+
+// onData acknowledges a payload hop and then delivers, forwards or strands
+// the payload.
+func (r *reliableRun) onData(ctx *sim.Context, me *rnode, round int, from sim.NodeID, msg rdataMsg) {
+	// Always acknowledge — the previous hop may be retransmitting because
+	// our earlier ack was lost.
+	ctx.SendAdHoc(from, hopAck{n: msg.n})
+	if me.seen[from][msg.n] {
+		return
+	}
+	if me.seen == nil {
+		me.seen = make(map[sim.NodeID]map[int]bool)
+	}
+	if me.seen[from] == nil {
+		me.seen[from] = make(map[int]bool)
+	}
+	me.seen[from][msg.n] = true
+	me.hopsIn++
+	v := ctx.ID()
+	switch {
+	case v == r.t && (len(msg.path) == 0 || r.verif):
+		// Arrival at the destination delivers; under verification even
+		// with plan leftover (a misroute can land the payload at t early).
+		me.delivered = true
+	case len(msg.path) == 0 && !r.verif:
+		me.misrouted = true
+	case len(msg.path) == 0 || (r.verif && !r.nw.G.HasEdge(v, msg.path[0])):
+		// Under verification the payload was misrouted here: its plan is
+		// exhausted at the wrong node, or its next hop is not our neighbor
+		// (strict mode would abort the run). Blame the forwarder and ask
+		// the source for a fresh remaining path; the nack/resume machinery
+		// then replans around the adversary and resumes from here.
+		me.misdetect++
+		r.strand(ctx, me, round, msg.payload, from, msg.launch, trace.Event{Kind: trace.KindMisrouteDetected}, true)
+	default:
+		r.sendData(ctx, me, round, msg.path, msg.payload, msg.plan, msg.launch)
+	}
+}
+
+// onHopAck settles the outstanding transfer the acknowledgement matches.
+func (r *reliableRun) onHopAck(me *rnode, v sim.NodeID, round int, from sim.NodeID, msg hopAck) {
+	for i, p := range me.pends {
+		if p.to == from && p.msg.n == msg.n {
+			if r.tr != nil {
+				r.tr.Emit(trace.Event{Kind: trace.KindHopAck, Round: round, From: int(v), To: int(p.to), Seq: p.msg.n, Attempt: p.attempts, Plan: p.msg.plan})
+			}
+			me.obs = append(me.obs, linkObs{to: p.to, attempts: p.attempts, acked: true})
+			me.pends = slices.Delete(me.pends, i, i+1)
+			return
 		}
 	}
-	// Feed the ack outcomes back into the link-quality estimates and the
-	// liveness table's probation counters, in node order so the fold is
-	// deterministic. Clean first-attempt successes are no-ops inside Observe
-	// and ObserveAck ignores unsuspected nodes, so lossless runs leave both
-	// untouched. Under adversaries two corrections apply: a telemetry-lying
-	// node's own observations are inverted (it frames whatever it touched as
-	// dead), and probation credit requires end-to-end verification of the
-	// path the node was actually on — a forged hop ack looks clean one hop
-	// upstream, so it must not readmit a suspect, not even when the query
-	// later delivered via a relaunch around the forger.
+}
+
+// onVerifyQuery answers an end-to-end verification poll truthfully — unless
+// this node is a colluding adversary covering for a fellow adversary's
+// discarded payload, in which case the confirmation is forged.
+func (r *reliableRun) onVerifyQuery(ctx *sim.Context, me *rnode, from sim.NodeID, msg verifyQuery) {
+	d := me.delivered
+	if !d && r.verif && r.nw.Sim.AdversaryLaundered(from, ctx.ID()) {
+		d = true
+	}
+	ctx.SendLong(from, verifyReply{n: msg.n, delivered: d})
+}
+
+// onVerifyReply records the destination's answer about the current launch.
+func (r *reliableRun) onVerifyReply(msg verifyReply) {
+	if msg.n != r.launch || r.rep.Verified || r.failure != "" {
+		return
+	}
+	if msg.delivered {
+		r.rep.Verified = true
+	} else {
+		r.verFails++
+	}
+}
+
+// onNack answers a stranded holder's failure notice: the source replans
+// around the dead hop and resumes the holder with the new remaining path,
+// or releases the strand.
+func (r *reliableRun) onNack(ctx *sim.Context, round int, holder sim.NodeID, msg nackMsg) {
+	release := func() { ctx.SendLong(holder, resumeMsg{seq: msg.seq}) }
+	if r.verif {
+		// Past the deadline no fresh corridor may be opened. The timers
+		// already stop then, but under adversaries nacks are born in inbox
+		// handlers (a misrouted payload strands wherever it lands), so
+		// without this gate the nack -> resume -> wander -> nack cycle would
+		// outlive the deadline indefinitely instead of quiescing.
+		if round >= r.deadline {
+			return
+		}
+		if msg.launch != r.launch {
+			// The strand belongs to an epoch a relaunch already replaced:
+			// its corridor was abandoned, so release the payload instead of
+			// resuming it. Resuming would graft the stale corridor —
+			// including whoever silently swallowed its payload — into the
+			// current launch's verification record, crediting nodes the
+			// verified payload never touched.
+			release()
+			return
+		}
+		if r.resumeBudget <= 0 {
+			// This launch already spent its corridor budget: release the
+			// strand instead of opening yet another corridor, and relaunch
+			// from the source with a refilled budget.
+			release()
+			r.forceRelaunch(round)
+			return
+		}
+		r.resumeBudget--
+	}
+	// Under verification a nack's blame is unreliable — a forger whose own
+	// discarded forward never got acked nacks blaming its innocent next hop,
+	// including the query endpoints themselves. Letting s or t into the dead
+	// set would poison every later replan (no path reaches an avoided
+	// target), so endpoint blame is ignored there; without adversaries blame
+	// is trustworthy and an unresponsive target rightly ends the query.
+	if !r.dead[msg.dead] && (!r.verif || (msg.dead != r.s && msg.dead != r.t)) {
+		r.dead[msg.dead] = true
+		r.rep.Replans++
+	}
+	full, plan, ok := r.replanFrom(holder, nil)
+	if !ok || len(full) < 2 {
+		if r.verif && r.launch < r.retries {
+			// The stranded corridor is unrecoverable from the holder. Under
+			// verification this is not fatal: release the strand and
+			// relaunch from the source. A frame-shifting forger can exhaust
+			// a holder's whole neighborhood with bogus nacks without ever
+			// cutting s from t.
+			release()
+			r.forceRelaunch(round)
+			return
+		}
+		r.failure = fmt.Sprintf("no path from %d to %d around dead nodes %v", holder, r.t, deadList(r.dead))
+		return
+	}
+	if r.tr != nil {
+		r.tr.Emit(trace.Event{Kind: trace.KindReplan, Round: round, From: int(holder), To: int(r.t), Plan: plan, Value: len(r.dead)})
+	}
+	// Record the resumed leg's nodes for verification credit. Deliberately
+	// NOT a relaunch-clock reset: a forger that keeps nacking (blaming its
+	// own neighbors) must not be able to postpone the end-to-end relaunch
+	// forever.
+	r.noteLaunchPath(full)
+	ctx.SendLong(holder, resumeMsg{seq: msg.seq, path: full[1:], plan: plan})
+}
+
+// onResume continues (or releases) the strand the source answered.
+func (r *reliableRun) onResume(ctx *sim.Context, me *rnode, round int, msg resumeMsg) {
+	for i, sd := range me.strands {
+		if sd.seq != msg.seq {
+			continue
+		}
+		me.strands = slices.Delete(me.strands, i, i+1)
+		if len(msg.path) > 0 {
+			r.sendData(ctx, me, round, msg.path, sd.payload, msg.plan, sd.launch)
+		} else if !r.verif {
+			// Without verification an empty resume means the plan cannot
+			// continue from here; under verification it releases the strand
+			// because the source abandoned this corridor for a fresh launch.
+			me.misrouted = true
+		}
+		return
+	}
+}
+
+// handshakeTimer retransmits the source's position query until answered.
+func (r *reliableRun) handshakeTimer(ctx *sim.Context, me *rnode, round int) {
+	if round >= r.posSentAt+ackWait {
+		if r.posAttempts > r.retries {
+			r.failure = fmt.Sprintf("position query to %d unanswered after %d attempts", r.t, r.posAttempts)
+		} else {
+			r.posAttempts++
+			r.posSentAt = round
+			me.retrans++
+			ctx.SendLong(r.t, posQuery{})
+		}
+	}
+	if r.failure == "" {
+		ctx.KeepAlive()
+	}
+}
+
+// verifyTimer polls the destination end to end until it confirms arrival,
+// and relaunches the payload from scratch when a launch stays unverified
+// past its budget with nothing left in flight at the source — the case a
+// forged hop acknowledgement produces (every hop "succeeded", the payload is
+// gone, and no nack will ever come).
+func (r *reliableRun) verifyTimer(ctx *sim.Context, me *rnode, round int) {
+	if r.verSentAt < 0 || round >= r.verSentAt+verifyWait {
+		r.verSentAt = round
+		ctx.SendLong(r.t, verifyQuery{n: r.launch})
+	}
+	if r.verFails > 0 && round >= r.launchedAt+r.launchBudget &&
+		len(me.pends) == 0 && len(me.strands) == 0 {
+		r.relaunch(ctx, me, round)
+	}
+	if r.failure == "" {
+		ctx.KeepAlive()
+	}
+}
+
+// relaunch gives up the current launch and sends the payload again from the
+// source, down a corridor disjoint from the one that just failed where one
+// exists (replanFrom readmits its nodes if nothing else clears them). A
+// selective-drop adversary black-holes flows deterministically, so
+// relaunching down the same corridor would fail the same way.
+func (r *reliableRun) relaunch(ctx *sim.Context, me *rnode, round int) {
+	if r.tr != nil {
+		r.tr.Emit(trace.Event{Kind: trace.KindVerifyFail, Round: round, From: int(r.s), To: int(r.t), Attempt: r.launch + 1})
+	}
+	if r.launch >= r.retries {
+		r.failure = fmt.Sprintf("delivery to %d unverified after %d launches", r.t, r.launch+1)
+		return
+	}
+	full, plan, ok := r.replanFrom(r.s, r.launchSeen)
+	if !ok || len(full) < 2 {
+		r.failure = fmt.Sprintf("no relaunch path from %d to %d around dead nodes %v", r.s, r.t, deadList(r.dead))
+		return
+	}
+	r.launch++
+	r.verFails = 0
+	r.verSentAt = round
+	r.launchedAt = round
+	r.resumeBudget = len(full) + 2*r.retries
+	clear(r.launchSeen)
+	r.noteLaunchPath(full)
+	if r.tr != nil {
+		r.tr.Emit(trace.Event{Kind: trace.KindE2EResend, Round: round, From: int(r.s), To: int(r.t), Plan: plan, Value: r.launch})
+	}
+	r.sendData(ctx, me, round, full[1:], r.opt.PayloadWords, plan, r.launch)
+}
+
+// forceRelaunch fails the current launch's verification and expires its
+// budget, so the verify timer relaunches from the source on its next tick.
+func (r *reliableRun) forceRelaunch(round int) {
+	r.verFails++
+	r.launchedAt = round - r.launchBudget
+}
+
+// hopTimers retransmits unacknowledged transfers and handles the hops whose
+// retransmission budget ran out.
+func (r *reliableRun) hopTimers(ctx *sim.Context, me *rnode, v sim.NodeID, round int) {
+	for i := 0; i < len(me.pends); {
+		p := me.pends[i]
+		if round < p.sentAt+ackWait {
+			i++
+			continue
+		}
+		if p.attempts <= r.retries {
+			p.attempts++
+			p.sentAt = round
+			me.retrans++
+			if r.tr != nil {
+				r.tr.Emit(trace.Event{Kind: trace.KindHopRetry, Round: round, From: int(v), To: int(p.to), Seq: p.msg.n, Attempt: p.attempts, Plan: p.msg.plan})
+			}
+			ctx.SendAdHoc(p.to, p.msg)
+			i++
+			continue
+		}
+		me.pends = slices.Delete(me.pends, i, i+1)
+		r.hopDead(ctx, me, v, round, p)
+	}
+}
+
+// hopDead handles a transfer whose budget is exhausted: the hop is dead. Its
+// next hop is marked suspected in the shared liveness table, so every later
+// plan — this query's replans and other queries' initial plans — routes
+// around it without burning another budget. The source replans locally; any
+// other holder strands the payload and raises a nack.
+func (r *reliableRun) hopDead(ctx *sim.Context, me *rnode, v sim.NodeID, round int, p *rpending) {
+	me.obs = append(me.obs, linkObs{to: p.to, attempts: p.attempts, acked: false})
+	r.suspect(me, trace.Event{Round: round, From: int(v), To: int(p.to), Attempt: p.attempts, Plan: p.msg.plan})
+	if v != r.s {
+		r.strand(ctx, me, round, p.msg.payload, p.to, p.msg.launch, trace.Event{Kind: trace.KindHopNack, Attempt: 1, Plan: p.msg.plan}, false)
+		return
+	}
+	if !r.dead[p.to] {
+		r.dead[p.to] = true
+		r.rep.Replans++
+	}
+	full, plan, ok := r.replanFrom(r.s, nil)
+	if !ok || len(full) < 2 {
+		if r.verif && r.launch < r.retries {
+			// As in onNack: under verification an unplannable local replan
+			// is not fatal — relaunch from the source instead.
+			r.forceRelaunch(round)
+			return
+		}
+		r.failure = fmt.Sprintf("no path from %d to %d around dead nodes %v", r.s, r.t, deadList(r.dead))
+		return
+	}
+	if r.tr != nil {
+		r.tr.Emit(trace.Event{Kind: trace.KindReplan, Round: round, From: int(r.s), To: int(r.t), Plan: plan, Value: len(r.dead)})
+	}
+	r.launchedAt = round
+	r.noteLaunchPath(full)
+	r.sendData(ctx, me, round, full[1:], p.msg.payload, plan, r.launch)
+}
+
+// nackTimers retransmits failure notices that the source has not answered,
+// abandoning the strand once the budget runs out.
+func (r *reliableRun) nackTimers(ctx *sim.Context, me *rnode, v sim.NodeID, round int) {
+	for i := 0; i < len(me.strands); {
+		sd := me.strands[i]
+		if round < sd.sentAt+ackWait {
+			i++
+			continue
+		}
+		if sd.attempts > r.retries {
+			// The source never answered: the payload is abandoned here.
+			// Record the strand so the query error names the holder and the
+			// dead hop instead of reporting a generic non-arrival.
+			me.abandoned = sd
+			me.strands = slices.Delete(me.strands, i, i+1)
+			continue
+		}
+		sd.attempts++
+		sd.sentAt = round
+		me.retrans++
+		if r.tr != nil {
+			r.tr.Emit(trace.Event{Kind: trace.KindHopNack, Round: round, From: int(v), To: int(sd.dead), Seq: sd.seq, Attempt: sd.attempts})
+		}
+		ctx.SendLong(r.s, nackMsg{seq: sd.seq, dead: sd.dead, launch: sd.launch})
+		i++
+	}
+}
+
+// sendData starts (and registers) one transfer from the stepping node to
+// rest[0], carrying rest[1:] as the remaining plan; plan tags the planner
+// whose path this leg executes, launch the epoch the payload belongs to.
+func (r *reliableRun) sendData(ctx *sim.Context, me *rnode, round int, rest []sim.NodeID, payload int, plan string, launch int) {
+	to := rest[0]
+	m := rdataMsg{n: me.nextN, src: r.s, path: rest[1:], payload: payload, plan: plan, launch: launch}
+	me.nextN++
+	if r.tr != nil {
+		r.tr.Emit(trace.Event{Kind: trace.KindHopSend, Round: round, From: int(ctx.ID()), To: int(to), Seq: m.n, Attempt: 1, Plan: plan})
+	}
+	ctx.SendAdHoc(to, m)
+	me.pends = append(me.pends, &rpending{to: to, msg: m, sentAt: round, attempts: 1})
+}
+
+// strand parks a payload at the stepping holder because its next hop dead
+// failed, and sends the source the first failure notice. ev announces the
+// strand in the trace (its route fields are filled here). With blame set the
+// failed hop is also marked suspected — a misroute is detected here, while
+// an exhausted hop was already suspected by hopDead. The first notice is a
+// first send, not a retransmission: only nackTimers' resends count.
+func (r *reliableRun) strand(ctx *sim.Context, me *rnode, round, payload int, dead sim.NodeID, launch int, ev trace.Event, blame bool) {
+	me.nextN++
+	sd := &rstrand{seq: me.nextN, payload: payload, sentAt: round, attempts: 1, dead: dead, launch: launch}
+	me.strands = append(me.strands, sd)
+	v := ctx.ID()
+	if r.tr != nil {
+		ev.Round, ev.From, ev.To, ev.Seq = round, int(v), int(dead), sd.seq
+		r.tr.Emit(ev)
+	}
+	if blame {
+		r.suspect(me, trace.Event{Round: round, From: int(v), To: int(dead)})
+	}
+	ctx.SendLong(r.s, nackMsg{seq: sd.seq, dead: dead, launch: launch})
+}
+
+// suspect marks ev.To suspected in the shared liveness table, counting and
+// tracing the suspicion when it is new.
+func (r *reliableRun) suspect(me *rnode, ev trace.Event) {
+	if !r.nw.Live.Suspect(sim.NodeID(ev.To)) {
+		return
+	}
+	me.suspects++
+	if r.tr != nil {
+		ev.Kind = trace.KindSuspect
+		r.tr.Emit(ev)
+	}
+}
+
+// noteLaunchPath records the interior nodes of a path handed out for the
+// current launch.
+func (r *reliableRun) noteLaunchPath(path []sim.NodeID) {
+	for _, v := range path {
+		if v == r.s || v == r.t {
+			continue
+		}
+		if r.launchSeen == nil {
+			r.launchSeen = make(map[sim.NodeID]bool)
+		}
+		r.launchSeen[v] = true
+	}
+}
+
+// replanFrom computes a fresh hop path holder→t around the known-dead nodes,
+// the liveness table's current suspects and the diversify set (the interior
+// of a launch that just failed verification): first through the hybrid
+// planner (Network or Engine plan cache), loss-detoured when the mode is on;
+// if that plan crosses an avoided node, through escapePath. Mid-query replans
+// never probe a suspect — the payload at stake just lost a retry budget — but
+// suspicion stays soft: if no path avoids every suspect, the suspects are
+// readmitted and only the dead set is avoided. The second return names the
+// planner that produced the path, for trace attribution.
+func (r *reliableRun) replanFrom(holder sim.NodeID, diversify map[sim.NodeID]bool) ([]sim.NodeID, string, bool) {
+	suspects := mergeAvoid(r.nw.Live.AvoidSet(holder, r.t), diversify)
+	avoid := mergeAvoid(r.dead, suspects)
+	out := r.nw.route(r.planner, holder, r.t, false)
+	if out.Reached && !pathHitsAny(out.Path, avoid) {
+		plan := r.planner.label()
+		if out.PlanFallback {
+			plan = planLDelFallback
+		}
+		if r.lossAware && r.nw.applyLossDetour(&out, r.t, avoid) {
+			r.rep.Detours++
+			plan = planLDelETX
+		}
+		return out.Path, plan, true
+	}
+	if p, plan, ok := r.escapePath(holder, avoid); ok {
+		if out.Reached && !pathHitsAny(out.Path, r.dead) {
+			// Only suspects blocked the hybrid plan.
+			r.rep.SuspectDetours++
+			plan = planSuspectAvoid
+		}
+		return p, plan, true
+	}
+	if len(suspects) > 0 {
+		if p, plan, ok := r.escapePath(holder, r.dead); ok {
+			return p, plan, true
+		}
+	}
+	if r.verif {
+		// Even the dead set cuts holder from t. Under adversaries that set
+		// is itself unreliable — a frame-shifting forger fills it with
+		// innocent neighbors of the corridor until the target looks
+		// disconnected — so as a last resort readmit it. If a readmitted
+		// node really is dead the launch fails verification and the
+		// relaunch machinery owns the failure; if it was framed, the query
+		// gets through.
+		return r.escapePath(holder, nil)
+	}
+	return nil, "", false
+}
+
+// escapePath plans holder→t over LDel² around the avoid set, bypassing the
+// hybrid planner: ETX-weighted when loss-aware planning is engaged (so the
+// escape also prefers low-loss links), plain node-avoiding otherwise. ETX
+// multipliers are finite, so both searches drop exactly the avoided nodes and
+// succeed or fail together. The label names the search, for trace
+// attribution.
+func (r *reliableRun) escapePath(holder sim.NodeID, avoid map[sim.NodeID]bool) ([]sim.NodeID, string, bool) {
+	if r.lossAware {
+		p, _, ok := r.nw.LDel.ShortestPathWeighted(holder, r.t, r.nw.etxWeight(r.t, avoid))
+		return p, planLDelETX, ok
+	}
+	p, _, ok := r.nw.LDel.ShortestPathAvoiding(holder, r.t, avoid)
+	return p, planLDelAvoid, ok
+}
+
+// fillReport copies the run's measured cost and diagnostics into the report.
+func (r *reliableRun) fillReport(pr counterProbe) {
+	rep := r.rep
+	pr.fill(r.nw, rep)
+	rep.DeliveredSim = r.st[r.t].delivered
+	rep.E2EResends = r.launch
+	for v := range r.st {
+		rep.Retransmits += r.st[v].retrans
+		rep.DataHops += r.st[v].hopsIn
+		rep.Suspected += r.st[v].suspects
+		rep.MisrouteDetected += r.st[v].misdetect
+	}
+}
+
+// foldObservations feeds the ack outcomes back into the link-quality
+// estimates and the liveness table's probation counters, in node order so
+// the fold is deterministic. Clean first-attempt successes are no-ops inside
+// Observe and ObserveAck ignores unsuspected nodes, so lossless runs leave
+// both untouched. Under adversaries two corrections apply: a
+// telemetry-lying node's own observations are inverted (it frames whatever
+// it touched as dead), and probation credit requires end-to-end verification
+// of the path the node was actually on — a forged hop ack looks clean one
+// hop upstream, so it must not readmit a suspect, not even when the query
+// later delivered via a relaunch around the forger.
+func (r *reliableRun) foldObservations() {
+	nw := r.nw
 	creditTo := func(to sim.NodeID) bool {
-		if !verif {
-			return true
-		}
-		return src.verified && (src.launchSeen[to] || to == t)
+		return !r.verif || (r.rep.Verified && (r.launchSeen[to] || to == r.t))
 	}
-	for v := range st {
-		liar := verif && nw.Sim.AdversaryBehaviorOf(sim.NodeID(v))&sim.AdvLieTelemetry != 0
-		for _, o := range st[v].obs {
+	for v := range r.st {
+		liar := r.verif && nw.Sim.AdversaryBehaviorOf(sim.NodeID(v))&sim.AdvLieTelemetry != 0
+		for _, o := range r.st[v].obs {
 			attempts, acked := o.attempts, o.acked
 			if liar {
-				attempts, acked = retries+1, false
+				attempts, acked = r.retries+1, false
 			}
 			if nw.Link != nil {
 				nw.Link.Observe(sim.NodeID(v), o.to, attempts, acked)
@@ -1190,23 +1139,27 @@ func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt Tran
 			nw.Live.ObserveAck(o.to, attempts, acked && creditTo(o.to))
 		}
 	}
-	if rep.DeliveredSim {
-		return rep, nil
+}
+
+// outcomeErr names why a finished run did not deliver (nil if it did).
+func (r *reliableRun) outcomeErr() error {
+	if r.rep.DeliveredSim {
+		return nil
 	}
-	for v := range st {
-		if st[v].misrouted {
-			return rep, fmt.Errorf("core: misrouted plan: remaining path exhausted at node %d before reaching %d", v, t)
+	for v := range r.st {
+		if r.st[v].misrouted {
+			return fmt.Errorf("core: misrouted plan: remaining path exhausted at node %d before reaching %d", v, r.t)
 		}
 	}
-	if src.failure != "" {
-		return rep, fmt.Errorf("core: delivery %d->%d failed: %s", s, t, src.failure)
+	if r.failure != "" {
+		return fmt.Errorf("core: delivery %d->%d failed: %s", r.s, r.t, r.failure)
 	}
-	for v := range st {
-		if sd := st[v].abandoned; sd != nil {
-			return rep, fmt.Errorf("core: stranded payload at node %d: next hop %d dead and %d failure notices to source %d went unanswered", v, sd.dead, sd.attempts, s)
+	for v := range r.st {
+		if sd := r.st[v].abandoned; sd != nil {
+			return fmt.Errorf("core: stranded payload at node %d: next hop %d dead and %d failure notices to source %d went unanswered", v, sd.dead, sd.attempts, r.s)
 		}
 	}
-	return rep, fmt.Errorf("core: payload did not arrive at %d within %d rounds (retries %d)", t, timeout, retries)
+	return fmt.Errorf("core: payload did not arrive at %d within %d rounds (retries %d)", r.t, r.timeout, r.retries)
 }
 
 // mergeAvoid unions two avoid sets, reusing either when the other is empty.
@@ -1243,10 +1196,6 @@ func deadList(set map[sim.NodeID]bool) []sim.NodeID {
 	for v := range set {
 		out = append(out, v)
 	}
-	for i := 1; i < len(out); i++ { // insertion sort, tiny sets
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }

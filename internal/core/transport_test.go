@@ -241,7 +241,7 @@ func TestMisroutedPlanNamesTheNode(t *testing.T) {
 		rep.Outcome.Path = truncated
 		var err error
 		if reliable {
-			_, err = nw.deliverReliable(nw, s, d, TransportOptions{PayloadWords: 8}, rep, false, false, "network")
+			_, err = nw.newReliableRun(nw, s, d, TransportOptions{PayloadWords: 8}, rep, false, "network").deliver()
 		} else {
 			_, err = nw.deliverLossless(s, d, 8, rep, "network")
 		}
