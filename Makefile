@@ -1,6 +1,6 @@
 # Tier-1 verification (referenced from ROADMAP.md): vet + build + full test
 # suite + a race-detector pass over the packages with concurrent query paths.
-.PHONY: tier1 vet build test race bench bench-scale bench-serve ci
+.PHONY: tier1 vet build test race fuzz bench bench-scale bench-serve ci
 
 tier1: vet build test race
 
@@ -18,13 +18,24 @@ test:
 # parallel stepping, the tracer takes concurrent emits from the worker
 # pool, churn repair patches the shared triangulation between engine
 # batches, the hole abstraction backends are read concurrently by every
-# routing worker, the mem arenas/mark sets back the router's pooled
-# corridor scratch, the serve layer mixes live churn repair with
+# routing worker, engine workers walk Chew corridors concurrently over one
+# shared Router, the mem arenas back the engine's pooled query scratch and
+# the LDel² build's mark sets, the serve layer mixes live churn repair with
 # in-flight queries and concurrent scrapes, and the cluster gateway
 # races hedged attempts against breaker state while chaos kills
 # backends under it; keep all nine packages race-clean.
 race:
 	go test -race ./internal/abstraction/... ./internal/cluster/... ./internal/core/... ./internal/delaunay/... ./internal/mem/... ./internal/routing/... ./internal/serve/... ./internal/sim/... ./internal/trace/...
+
+# Fuzz the degenerate-geometry targets, 20 s each: the Chew corridor walk
+# against its full-scan reference, the convex hull (and its boundary walk),
+# and the segment predicates. Go fuzzes one target per invocation. A walk
+# input costs milliseconds, so its new inputs are minimized for 5 s, not the
+# default 60 s that would use up the whole run.
+fuzz:
+	go test ./internal/routing -run '^$$' -fuzz '^FuzzChewWalk$$' -fuzztime 20s -fuzzminimizetime 5s
+	go test ./internal/geom -run '^$$' -fuzz '^FuzzConvexHull$$' -fuzztime 20s
+	go test ./internal/geom -run '^$$' -fuzz '^FuzzSegmentPredicates$$' -fuzztime 20s
 
 # Benchmarks stream through cmd/benchjson, which passes the benchstat-friendly
 # text through unchanged and archives a JSON summary for CI artifacts. -merge

@@ -226,7 +226,7 @@ func (e *Engine) RouteOnSimOpt(s, t sim.NodeID, opt TransportOptions) (*Transpor
 }
 
 func (nw *Network) routeOnSim(planner planSource, s, t sim.NodeID, opt TransportOptions) (*TransportReport, error) {
-	plan := nw.route(planner, s, t, false)
+	plan := nw.route(planner, s, t)
 	rep := &TransportReport{Outcome: plan}
 	if !plan.Reached {
 		return rep, fmt.Errorf("core: no plan for %d->%d", s, t)
@@ -1044,7 +1044,7 @@ func (r *reliableRun) noteLaunchPath(path []sim.NodeID) {
 func (r *reliableRun) replanFrom(holder sim.NodeID, diversify map[sim.NodeID]bool) ([]sim.NodeID, string, bool) {
 	suspects := mergeAvoid(r.nw.Live.AvoidSet(holder, r.t), diversify)
 	avoid := mergeAvoid(r.dead, suspects)
-	out := r.nw.route(r.planner, holder, r.t, false)
+	out := r.nw.route(r.planner, holder, r.t)
 	if out.Reached && !pathHitsAny(out.Path, avoid) {
 		plan := r.planner.label()
 		if out.PlanFallback {

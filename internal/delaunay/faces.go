@@ -63,15 +63,6 @@ func (f Face) Polygon(g *PlanarGraph) []geom.Point {
 	return poly
 }
 
-// AppendPolygon appends the face boundary points to dst and returns it,
-// letting hot paths reuse a scratch buffer instead of allocating per face.
-func (f Face) AppendPolygon(g *PlanarGraph, dst []geom.Point) []geom.Point {
-	for _, v := range f.Cycle {
-		dst = append(dst, g.Point(v))
-	}
-	return dst
-}
-
 // HasEdge reports whether the undirected edge (a, b) appears on the face
 // boundary.
 func (f Face) HasEdge(a, b udg.NodeID) bool {
@@ -92,25 +83,35 @@ func (f Face) HasEdge(a, b udg.NodeID) bool {
 // the outer face clockwise. Every directed edge lies on exactly one face.
 //
 // Directed edges are identified by their dense position in the CSR layout of
-// the rotations, so the visited set is a flat []bool rather than a hash map,
+// the rotations, so the visited set is a flat slice rather than a hash map,
 // and finding the predecessor of u in v's rotation also yields the next
 // directed-edge index for free. Enumeration order (node ascending, rotation
 // order within each node) matches the historical map-based implementation
 // exactly.
 func (g *PlanarGraph) Faces() []Face {
+	faces, _, _ := g.FaceIndex()
+	return faces
+}
+
+// FaceIndex enumerates the faces like Faces and also returns which face lies
+// to the left of every directed edge: the edge u → Neighbors(u)[i] has index
+// off[u]+i, and left[off[u]+i] is the face whose boundary walk traverses it.
+func (g *PlanarGraph) FaceIndex() (faces []Face, off, left []int32) {
 	off, dat := g.flatRows()
-	visited := make([]bool, len(dat))
-	var faces []Face
+	left = make([]int32, len(dat))
+	for i := range left {
+		left[i] = -1 // not yet visited
+	}
 
 	for u := 0; u < g.N(); u++ {
 		for k := int(off[u]); k < int(off[u+1]); k++ {
-			if visited[k] {
+			if left[k] >= 0 {
 				continue
 			}
 			var cycle []udg.NodeID
 			cu, ck := udg.NodeID(u), k
-			for !visited[ck] {
-				visited[ck] = true
+			for left[ck] < 0 {
+				left[ck] = int32(len(faces))
 				cycle = append(cycle, cu)
 				cv := dat[ck]
 				row := dat[off[cv]:off[cv+1]]
@@ -130,7 +131,7 @@ func (g *PlanarGraph) Faces() []Face {
 			faces = append(faces, Face{Cycle: cycle})
 		}
 	}
-	return faces
+	return faces, off, left
 }
 
 // OuterFaceIndex returns the index of the unbounded face in faces: the one

@@ -1,6 +1,7 @@
 package delaunay
 
 import (
+	"math"
 	"sort"
 
 	"hybridroute/internal/geom"
@@ -52,42 +53,20 @@ func NewPlanarGraph(pts []geom.Point, edges [][2]int) *PlanarGraph {
 	return g
 }
 
-// angNbr pairs a neighbour with its precomputed rotation angle so row sorting
-// computes each atan2 once instead of once per comparison.
-type angNbr struct {
-	a  float64
-	id udg.NodeID
-}
-
-// sortRotations sorts every frozen row CCW by (angle, id) and removes
-// duplicate parallel edges, compacting the CSR arrays in place. The
-// comparison order — angle ascending, ties broken by node ID — is a total
-// order, so the insertion sort produces exactly the sequence the previous
-// sort.Slice-based implementation did.
+// sortRotations sorts every frozen row CCW (see ccwBefore) and removes
+// duplicate parallel edges, compacting the CSR arrays in place.
 func (g *PlanarGraph) sortRotations() {
-	var scratch []angNbr
 	n := g.N()
 	for v := 0; v < n; v++ {
 		row := g.dat[g.off[v]:g.off[v+1]]
-		if len(row) < 2 {
-			continue
-		}
-		pv := g.pts[v]
-		scratch = scratch[:0]
-		for _, w := range row {
-			scratch = append(scratch, angNbr{g.pts[w].Sub(pv).Angle(), w})
-		}
-		for i := 1; i < len(scratch); i++ {
-			x := scratch[i]
+		for i := 1; i < len(row); i++ {
+			x := row[i]
 			j := i - 1
-			for j >= 0 && (x.a < scratch[j].a || (x.a == scratch[j].a && x.id < scratch[j].id)) {
-				scratch[j+1] = scratch[j]
+			for j >= 0 && g.ccwBefore(udg.NodeID(v), x, row[j]) {
+				row[j+1] = row[j]
 				j--
 			}
-			scratch[j+1] = x
-		}
-		for i := range scratch {
-			row[i] = scratch[i].id
+			row[j+1] = x
 		}
 	}
 	// Deduplicate parallel edges if any slipped in; sorted rows put
@@ -107,6 +86,40 @@ func (g *PlanarGraph) sortRotations() {
 	}
 	g.off[n] = w
 	g.dat = g.dat[:w]
+}
+
+// ccwBefore reports whether neighbour a precedes neighbour b in the
+// counterclockwise rotation of v: by the angle of a−v in [−π, π] as atan2
+// gives it, with directions in the same half-plane ordered by the exact
+// orientation predicate — float angles tie or swap directions less than
+// ~1e-16 rad apart, which breaks the rotation system — and equal directions
+// by node ID.
+func (g *PlanarGraph) ccwBefore(v, a, b udg.NodeID) bool {
+	pv, pa, pb := g.pts[v], g.pts[a], g.pts[b]
+	if ha, hb := angleHalf(pa.Sub(pv)), angleHalf(pb.Sub(pv)); ha != hb {
+		return ha < hb
+	}
+	switch geom.Orient(pv, pa, pb) {
+	case geom.CounterClockwise:
+		return true
+	case geom.Clockwise:
+		return false
+	}
+	return a < b
+}
+
+// angleHalf splits directions into atan2's ranges that orientation orders
+// consistently: −π, (−π, 0), [0, π) and π.
+func angleHalf(d geom.Point) int {
+	switch {
+	case d.Y < 0:
+		return 1
+	case d.Y > 0 || d.X >= 0:
+		return 2
+	case math.Signbit(d.Y):
+		return 0 // atan2(−0, x<0) = −π
+	}
+	return 3 // atan2(+0, x<0) = π
 }
 
 // row returns the current rotation of v: the copy-on-write override when one
@@ -215,11 +228,8 @@ func (g *PlanarGraph) AddEdge(u, v udg.NodeID) {
 }
 
 func (g *PlanarGraph) sortRotationOf(v udg.NodeID) {
-	pv := g.pts[v]
 	nbrs := g.mut[v]
-	sort.Slice(nbrs, func(i, j int) bool {
-		return g.pts[nbrs[i]].Sub(pv).Angle() < g.pts[nbrs[j]].Sub(pv).Angle()
-	})
+	sort.Slice(nbrs, func(i, j int) bool { return g.ccwBefore(v, nbrs[i], nbrs[j]) })
 }
 
 // Clone returns a copy of the graph that shares the frozen CSR arrays (which

@@ -352,3 +352,30 @@ func BenchmarkLDel2Grid(b *testing.B) {
 		LDelK(g, 2)
 	}
 }
+
+// TestRotationOrdersNearlyParallelEdges pins the rotation system on
+// directions whose float angles tie: seen from v, a and b lie ~2e-19 rad
+// apart, below atan2's resolution, and the exact orientation puts b first.
+// The AddEdge path must agree with the construction path.
+func TestRotationOrdersNearlyParallelEdges(t *testing.T) {
+	pts := []geom.Point{
+		geom.Pt(0, 1.5),               // a
+		geom.Pt(0, 1.5+4.8e-10),       // b
+		geom.Pt(4.8e-10, 2.5),         // v
+		geom.Pt(4.8e-10, 0.5+4.8e-10), // straight below v
+	}
+	if geom.Orient(pts[2], pts[0], pts[1]) != geom.Clockwise {
+		t.Fatal("fixture: b must lie clockwise of a as seen from v")
+	}
+	want := []udg.NodeID{1, 0, 3}
+	g := NewPlanarGraph(pts, [][2]int{{2, 0}, {2, 1}, {2, 3}})
+	h := NewPlanarGraph(pts, nil)
+	for _, w := range []udg.NodeID{3, 0, 1} {
+		h.AddEdge(2, w)
+	}
+	for name, got := range map[string][]udg.NodeID{"NewPlanarGraph": g.Neighbors(2), "AddEdge": h.Neighbors(2)} {
+		if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+			t.Errorf("%s rotation of v = %v, want %v", name, got, want)
+		}
+	}
+}

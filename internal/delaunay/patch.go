@@ -125,7 +125,9 @@ func detectHoles(ldel *PlanarGraph, r float64, excluded map[udg.NodeID]bool, pre
 		}
 	}
 
-	// Outer holes: overlay convex hull edges of the (live) point set.
+	// Outer holes: overlay convex hull edges of the (live) point set, split
+	// at every node lying on them so the overlay stays a plane embedding
+	// where the border runs exactly along the hull.
 	pts := ldel.Points()
 	hullInput := pts
 	if len(excluded) > 0 {
@@ -136,7 +138,7 @@ func detectHoles(ldel *PlanarGraph, r float64, excluded map[udg.NodeID]bool, pre
 			}
 		}
 	}
-	hullPts := geom.ConvexHull(hullInput)
+	hullPts := geom.HullBoundary(hullInput)
 	if len(hullPts) >= 3 {
 		// Only hull vertices ever get looked up, so index just those few
 		// points instead of building a map over all n nodes. Scanning nodes

@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzConvexHull checks hull invariants on arbitrary coordinate streams:
-// the hull is convex, contains every input point, and is idempotent.
+// the hull is convex, contains every input point, and is idempotent, and
+// HullBoundary walks it through every input point on its boundary.
 func FuzzConvexHull(f *testing.F) {
 	f.Add(0.0, 0.0, 1.0, 0.0, 0.5, 1.0, 0.5, 0.5)
 	f.Add(1.5, 2.5, -3.0, 4.0, 0.0, 0.0, 7.25, -1.5)
@@ -37,6 +38,7 @@ func FuzzConvexHull(f *testing.F) {
 		if len(again) != len(hull) {
 			t.Fatalf("hull not idempotent: %d -> %d", len(hull), len(again))
 		}
+		checkHullBoundary(t, pts)
 	})
 }
 

@@ -1,6 +1,9 @@
 package geom
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // ConvexHull returns the convex hull of pts in counterclockwise order using
 // Andrew's monotone chain. Collinear points on the hull boundary are
@@ -8,24 +11,11 @@ import "sort"
 // than three distinct points return the distinct points sorted
 // lexicographically.
 func ConvexHull(pts []Point) []Point {
-	sorted := make([]Point, len(pts))
-	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	// Deduplicate.
-	uniq := sorted[:0]
-	for i, p := range sorted {
-		if i == 0 || !p.Eq(sorted[i-1]) {
-			uniq = append(uniq, p)
-		}
-	}
-	sorted = uniq
+	sorted := sortedUnique(pts)
 	n := len(sorted)
 	if n < 3 {
-		out := make([]Point, n)
-		copy(out, sorted)
-		return out
+		return sorted
 	}
-
 	hull := make([]Point, 0, 2*n)
 	// Lower hull.
 	for _, p := range sorted {
@@ -44,6 +34,51 @@ func ConvexHull(pts []Point) []Point {
 		hull = append(hull, p)
 	}
 	return hull[:len(hull)-1]
+}
+
+// HullBoundary returns the closed counterclockwise walk along the boundary
+// of the convex hull of pts through every distinct input point lying on it:
+// the corners of ConvexHull plus the points on its edges, so no input point
+// lies strictly between two consecutive entries (the last entry connects
+// back to the first). Collinear inputs give the walk out along the line and
+// back.
+func HullBoundary(pts []Point) []Point {
+	sorted := sortedUnique(pts)
+	if len(sorted) < 3 {
+		return sorted
+	}
+	// Monotone chain that pops only right turns, so collinear boundary
+	// points stay; the two chains are built apart because each would
+	// otherwise keep the other's collinear end run a second time.
+	chain := func(pts []Point) []Point {
+		var c []Point
+		for _, p := range pts {
+			for len(c) >= 2 && Orient(c[len(c)-2], c[len(c)-1], p) == Clockwise {
+				c = c[:len(c)-1]
+			}
+			c = append(c, p)
+		}
+		return c
+	}
+	lower := chain(sorted)
+	slices.Reverse(sorted)
+	upper := chain(sorted)
+	return append(lower, upper[1:len(upper)-1]...)
+}
+
+// sortedUnique returns a lexicographically sorted copy of pts without
+// duplicates.
+func sortedUnique(pts []Point) []Point {
+	sorted := make([]Point, len(pts))
+	copy(sorted, pts)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+	uniq := sorted[:0]
+	for i, p := range sorted {
+		if i == 0 || !p.Eq(sorted[i-1]) {
+			uniq = append(uniq, p)
+		}
+	}
+	return uniq
 }
 
 // IsConvexCCW reports whether poly is a strictly convex polygon listed in

@@ -95,6 +95,81 @@ func TestConvexHullQuick(t *testing.T) {
 	}
 }
 
+func TestHullBoundaryKeepsCollinearPoints(t *testing.T) {
+	var pts []Point
+	for x := 0; x <= 3; x++ {
+		for y := 0; y <= 2; y++ {
+			pts = append(pts, Pt(float64(x), float64(y)))
+		}
+	}
+	got := HullBoundary(pts)
+	want := []Point{Pt(0, 0), Pt(1, 0), Pt(2, 0), Pt(3, 0), Pt(3, 1), Pt(3, 2),
+		Pt(2, 2), Pt(1, 2), Pt(0, 2), Pt(0, 1)}
+	if len(got) != len(want) {
+		t.Fatalf("boundary %v, want %v", got, want)
+	}
+	for i := range want {
+		if !got[i].Eq(want[i]) {
+			t.Fatalf("boundary %v, want %v", got, want)
+		}
+	}
+	// Collinear input: out along the line and back.
+	line := HullBoundary([]Point{Pt(2, 2), Pt(0, 0), Pt(1, 1), Pt(3, 3)})
+	wantLine := []Point{Pt(0, 0), Pt(1, 1), Pt(2, 2), Pt(3, 3), Pt(2, 2), Pt(1, 1)}
+	if len(line) != len(wantLine) {
+		t.Fatalf("collinear boundary %v, want %v", line, wantLine)
+	}
+	for i := range wantLine {
+		if !line[i].Eq(wantLine[i]) {
+			t.Fatalf("collinear boundary %v, want %v", line, wantLine)
+		}
+	}
+}
+
+// checkHullBoundary checks HullBoundary against ConvexHull: it visits the
+// hull corners in order, every stop lies on the hull boundary, and no input
+// point lies strictly between two consecutive stops.
+func checkHullBoundary(t *testing.T, pts []Point) {
+	t.Helper()
+	hull := ConvexHull(pts)
+	if len(hull) < 3 {
+		return
+	}
+	b := HullBoundary(pts)
+	k := 0
+	for _, p := range b {
+		if PointStrictlyInConvex(p, hull) || !PointInConvex(p, hull) {
+			t.Fatalf("boundary stop %v is not on hull %v", p, hull)
+		}
+		if k < len(hull) && p.Eq(hull[k]) {
+			k++
+		}
+	}
+	if k != len(hull) {
+		t.Fatalf("boundary %v skips corners of hull %v", b, hull)
+	}
+	for i := range b {
+		s := Seg(b[i], b[(i+1)%len(b)])
+		for _, p := range pts {
+			if OnSegment(p, s) && !p.Eq(s.A) && !p.Eq(s.B) {
+				t.Fatalf("input %v lies inside boundary edge %v", p, s)
+			}
+		}
+	}
+}
+
+func TestHullBoundaryRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		pts := make([]Point, 3+rng.Intn(40))
+		for i := range pts {
+			// A coarse lattice makes collinear boundary runs common.
+			pts[i] = Pt(float64(rng.Intn(6)), float64(rng.Intn(6)))
+		}
+		checkHullBoundary(t, pts)
+	}
+}
+
 func TestPointInConvex(t *testing.T) {
 	square := []Point{Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)}
 	if !PointInConvex(Pt(1, 1), square) {

@@ -20,26 +20,18 @@ func (r *Router) Chew(s, t NodeID) Result {
 	if r.g.HasEdge(s, t) {
 		return Result{Path: []NodeID{s, t}, Reached: true}
 	}
-	ps, pt := r.g.Point(s), r.g.Point(t)
-	L := geom.Seg(ps, pt)
-
-	corridor := r.corridor(L)
-	if len(corridor) == 0 {
-		// Degenerate: no face registered as crossed (collinear grazing).
+	if r.gbar.Degree(s) == 0 || r.gbar.Degree(t) == 0 {
+		// An isolated endpoint (a crashed node) is no face's vertex, so no
+		// corridor leads from or to it.
+		return r.fallback(s, t)
+	}
+	prefix, holeFace := r.walk(s, t)
+	if len(prefix) == 0 && holeFace < 0 {
+		// Degenerate: the segment crosses no face (it runs along edges).
 		return r.fallback(s, t)
 	}
 
-	// Split the corridor at the first non-triangle face.
-	prefix := corridor
-	holeFace := -1
-	for i, f := range corridor {
-		if !r.IsTriangleFace(f) {
-			prefix = corridor[:i]
-			holeFace = f
-			break
-		}
-	}
-
+	L := geom.Seg(r.g.Point(s), r.g.Point(t))
 	left, right := r.corridorChains(L, s, t, prefix, holeFace)
 
 	if holeFace >= 0 {
@@ -93,61 +85,114 @@ func (r *Router) ChewVia(waypoints []NodeID) Result {
 	return out
 }
 
-// corridor returns the indices of all faces whose interior the segment
-// passes through, ordered by entry parameter along the segment. The face
-// grid narrows the scan to faces near the segment; a candidate earns an
-// entry only through the same geometric tests the full scan used, so the
-// corridor is identical to scanning every face. (The outer face is never
-// registered in the grid: segments between nodes stay inside CH(V) and
-// cannot pass through the outer face of the hull-augmented embedding.)
-func (r *Router) corridor(L geom.Segment) []int {
-	entries := make(map[int]float64)
-	dir := L.B.Sub(L.A)
-	len2 := dir.Dot(dir)
-	paramOf := func(p geom.Point) float64 {
-		return p.Sub(L.A).Dot(dir) / len2
-	}
-	sc := r.getScratch()
-	defer r.putScratch(sc)
-	sc.cand = sc.cand[:0]
-	if r.grid != nil {
-		sc.cand = r.grid.candidates(L, sc, sc.cand)
-	}
-	for _, fi32 := range sc.cand {
-		fi := int(fi32)
-		poly := r.faces[fi].AppendPolygon(r.gbar, sc.poly[:0])
-		n := len(poly)
-		params := sc.params[:0]
-		for j := 0; j < n; j++ {
-			e := geom.Seg(poly[j], poly[(j+1)%n])
-			if geom.SegmentsProperlyIntersect(L, e) {
-				if x, ok := geom.SegmentIntersection(L, e); ok {
-					params = append(params, clamp01(paramOf(x)))
-				}
-			}
-			if geom.OnSegment(poly[j], L) {
-				params = append(params, clamp01(paramOf(poly[j])))
-			}
-		}
-		sc.poly, sc.params = poly, params
-		if len(params) < 2 {
+// walk returns the triangles that segment st passes through, in order, up
+// to the first face that is not a triangle, and that face (-1 when the
+// segment reaches t through triangles alone): the straight walk of
+// Devillers, Pion and Teillaud ("Walking in a triangulation", 2002) through
+// the hull-augmented embedding gbar. It leaves s through the wedge of its
+// rotation that contains t, or along an edge lying exactly on st, then
+// crosses one shared edge per step, the side of st the triangle's third
+// vertex lies on choosing the exit edge, and pivots through every vertex
+// lying exactly on st. A segment never leaves CH(V), so the walk never
+// enters the outer face.
+func (r *Router) walk(s, t NodeID) (prefix []int, holeFace int) {
+	ps, pt := r.g.Point(s), r.g.Point(t)
+	v := s // the last vertex of gbar met on st
+	// Each step enters a new face or vertex; the budget only guards against
+	// an embedding that is not plane.
+	for budget := len(r.faces) + r.g.N(); budget > 0; {
+		w, f := r.leave(v, pt)
+		switch {
+		case w == t:
+			return prefix, -1
+		case w >= 0:
+			v = w
+			budget--
 			continue
+		case f < 0:
+			return nil, -1 // no wedge holds t: gbar is not plane
 		}
-		sortFloats(params)
-		for j := 0; j+1 < len(params); j++ {
-			if params[j+1]-params[j] < 1e-12 {
-				continue
+		// f lies in the wedge at v; cross faces until st meets a vertex.
+		var a, b NodeID // the crossed edge, a left of st and b right of it
+		atVertex := true
+	cross:
+		for ; budget > 0; budget-- {
+			c := r.faces[f].Cycle
+			// A longer cycle on three distinct nodes exists only off a plane
+			// embedding; the walk stops there too.
+			if !r.IsTriangleFace(f) || len(c) != 3 {
+				return prefix, f
 			}
-			mid := geom.Lerp(L.A, L.B, (params[j]+params[j+1])/2)
-			if geom.PointStrictlyInSimple(mid, poly) {
-				if _, ok := entries[fi]; !ok {
-					entries[fi] = params[j]
+			prefix = append(prefix, f)
+			if atVertex { // entered at v: the far edge is the exit
+				i := indexOf(c, v)
+				b, a = c[(i+1)%3], c[(i+2)%3]
+				atVertex = false
+			} else {
+				x := c[(indexOf(c, a)+2)%3] // the cycle runs a → b → x
+				switch geom.Orient(ps, pt, r.g.Point(x)) {
+				case geom.CounterClockwise:
+					a = x
+				case geom.Clockwise:
+					b = x
+				default:
+					v = x
+					break cross
 				}
-				break
 			}
+			f = int(r.left[r.edge(a, b)])
+		}
+		if v == t {
+			return prefix, -1
 		}
 	}
-	return sortFacesByEntry(entries)
+	return nil, -1
+}
+
+// leave finds how segment st continues from a vertex v lying on it: along
+// the edge to neighbour w when that edge lies on st (f = -1), otherwise into
+// the face f in the wedge of v's rotation that contains t (w = -1). It
+// gives (-1, -1) only when no wedge holds t, which a plane gbar rules out.
+func (r *Router) leave(v NodeID, pt geom.Point) (w NodeID, f int) {
+	pv := r.g.Point(v)
+	nbrs := r.gbar.Neighbors(v)
+	for i, x := range nbrs {
+		px := r.g.Point(x)
+		ox := geom.Orient(pv, px, pt)
+		if ox == geom.Collinear && px.Sub(pv).Dot(pt.Sub(pv)) > 0 {
+			return x, -1
+		}
+		// Is t strictly inside the counterclockwise wedge from x to y?
+		py := r.g.Point(nbrs[(i+1)%len(nbrs)])
+		oy := geom.Orient(pv, py, pt)
+		in := len(nbrs) == 1
+		switch geom.Orient(pv, px, py) {
+		case geom.CounterClockwise:
+			in = ox == geom.CounterClockwise && oy == geom.Clockwise
+		case geom.Clockwise:
+			in = ox == geom.CounterClockwise || oy == geom.Clockwise
+		default: // a straight angle, or the single edge's full turn
+			in = in || ox == geom.CounterClockwise
+		}
+		if in {
+			return -1, int(r.left[int(r.eoff[v])+i])
+		}
+	}
+	return -1, -1
+}
+
+// edge returns the index of the directed edge u → v of gbar.
+func (r *Router) edge(u, v NodeID) int {
+	return int(r.eoff[u]) + indexOf(r.gbar.Neighbors(u), v)
+}
+
+func indexOf(xs []NodeID, x NodeID) int {
+	for i, y := range xs {
+		if y == x {
+			return i
+		}
+	}
+	return -1
 }
 
 // corridorChains builds the left and right boundary chains of the triangle
@@ -274,18 +319,6 @@ func (r *Router) fallback(s, t NodeID) Result {
 	}
 	return Result{Path: path, Reached: true, Fallback: true}
 }
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}
-
-func sortFloats(xs []float64) { sort.Float64s(xs) }
 
 // sortByParam orders vertices by key, keeping the input order of equal keys
 // (corridor chains depend on that stability for determinism).

@@ -18,8 +18,6 @@ package routing
 
 import (
 	"math"
-	"sort"
-	"sync"
 
 	"hybridroute/internal/delaunay"
 	"hybridroute/internal/geom"
@@ -80,11 +78,10 @@ type Router struct {
 	gbar  *delaunay.PlanarGraph // g plus CH(V) edges, for face enumeration
 	faces []delaunay.Face
 	outer int
-	// grid narrows corridor queries to faces near the segment; scratch pools
-	// the per-query working memory (corridors run concurrently under the
-	// engine's batch workers).
-	grid    *faceGrid
-	scratch *sync.Pool
+	// eoff and left index the directed edges of gbar: u → Neighbors(u)[i]
+	// is edge eoff[u]+i, and left[e] is the face on its left — all the
+	// corridor walk needs to cross from face to face.
+	eoff, left []int32
 	// maxHops bounds every walk; defaults to 4n.
 	maxHops int
 }
@@ -96,8 +93,13 @@ func New(g *delaunay.PlanarGraph) *Router {
 		maxHops: 4*g.N() + 16,
 	}
 	r.gbar = g.Clone()
+	lowest := NodeID(-1) // the lexicographically smallest node, a hull corner
 	if g.N() >= 3 {
-		hull := geom.ConvexHull(g.Points())
+		// Every node on the hull boundary is a stop of the boundary walk,
+		// so each CH(V) edge is split at the nodes lying on it and gbar
+		// stays a plane embedding even where the graph's own border runs
+		// exactly along the hull.
+		hull := geom.HullBoundary(g.Points())
 		// Index only the hull points: probing every node against a
 		// hull-sized map avoids an n-entry map at n=10⁶. The ascending scan
 		// keeps the historical coincident-point resolution (highest node ID
@@ -113,21 +115,21 @@ func New(g *delaunay.PlanarGraph) *Router {
 			}
 		}
 		for i := range hull {
-			a, okA := idx[hull[i]]
-			b, okB := idx[hull[(i+1)%len(hull)]]
-			if okA && okB && a >= 0 && b >= 0 {
-				r.gbar.AddEdge(a, b)
-			}
+			r.gbar.AddEdge(idx[hull[i]], idx[hull[(i+1)%len(hull)]])
 		}
+		lowest = idx[hull[0]]
 	}
-	r.faces = r.gbar.Faces()
-	r.outer = r.gbar.OuterFaceIndex(r.faces)
-	r.grid = newFaceGrid(r.gbar, r.faces, r.outer)
-	nCells := 0
-	if r.grid != nil {
-		nCells = r.grid.nx * r.grid.ny
+	r.faces, r.eoff, r.left = r.gbar.FaceIndex()
+	// The outer face lies left of the lowest node's last rotation edge: that
+	// wedge holds the −x direction, out of CH(V). Unlike the sign of a float
+	// area sum, which cancels on tiny or flat node sets, this is exact.
+	r.outer = -1
+	switch {
+	case lowest >= 0:
+		r.outer = int(r.left[r.eoff[lowest+1]-1])
+	case len(r.faces) > 0:
+		r.outer = 0 // fewer than three nodes: at most one edge, one face
 	}
-	r.scratch = newScratchPool(nCells, len(r.faces))
 	return r
 }
 
@@ -227,20 +229,4 @@ func angleBetween(a, b geom.Point) float64 {
 		d -= 2 * math.Pi
 	}
 	return d
-}
-
-// sortFacesByEntry orders face indices by the parameter at which the segment
-// first meets each face.
-func sortFacesByEntry(entries map[int]float64) []int {
-	idx := make([]int, 0, len(entries))
-	for f := range entries {
-		idx = append(idx, f)
-	}
-	sort.Slice(idx, func(i, j int) bool {
-		if entries[idx[i]] != entries[idx[j]] {
-			return entries[idx[i]] < entries[idx[j]]
-		}
-		return idx[i] < idx[j]
-	})
-	return idx
 }
