@@ -28,12 +28,15 @@ race:
 	go test -race ./internal/abstraction/... ./internal/cluster/... ./internal/core/... ./internal/delaunay/... ./internal/mem/... ./internal/routing/... ./internal/serve/... ./internal/sim/... ./internal/trace/...
 
 # Fuzz the degenerate-geometry targets, 20 s each: the Chew corridor walk
-# against its full-scan reference, the convex hull (and its boundary walk),
-# and the segment predicates. Go fuzzes one target per invocation. A walk
-# input costs milliseconds, so its new inputs are minimized for 5 s, not the
-# default 60 s that would use up the whole run.
+# against its full-scan reference, the box-culled visibility domain and its
+# planners against their unculled reference, the convex hull (and its
+# boundary walk), and the segment predicates (also against their
+# orientation-first formulas). Go fuzzes one target per invocation. A walk
+# or domain input costs milliseconds, so their new inputs are minimized for
+# 5 s, not the default 60 s that would use up the whole run.
 fuzz:
 	go test ./internal/routing -run '^$$' -fuzz '^FuzzChewWalk$$' -fuzztime 20s -fuzzminimizetime 5s
+	go test ./internal/vis -run '^$$' -fuzz '^FuzzDomainVisible$$' -fuzztime 20s -fuzzminimizetime 5s
 	go test ./internal/geom -run '^$$' -fuzz '^FuzzConvexHull$$' -fuzztime 20s
 	go test ./internal/geom -run '^$$' -fuzz '^FuzzSegmentPredicates$$' -fuzztime 20s
 

@@ -44,10 +44,17 @@ func FuzzConvexHull(f *testing.F) {
 
 // FuzzSegmentPredicates cross-checks the segment intersection predicates:
 // a proper intersection implies a closed intersection, and the intersection
-// point (when the predicate holds) lies on both segments.
+// point (when the predicate holds) lies on both segments. It also requires
+// the box-first OnSegment, SegmentsProperlyIntersect and
+// PointStrictlyInSimple to equal their orientation-first formulas.
 func FuzzSegmentPredicates(f *testing.F) {
 	f.Add(0.0, 0.0, 2.0, 2.0, 0.0, 2.0, 2.0, 0.0)
 	f.Add(0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 3.0, 0.0)
+	f.Add(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 0.0)   // boxes touch at a corner
+	f.Add(0.0, 0.0, 2.0, 0.0, 1.0, 0.0, 3.0, 0.0)   // collinear overlap
+	f.Add(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 2.0, 2.0)   // zero length, on the other
+	f.Add(0.0, 0.0, 4.0, 0.0, 2.0, 3.0, 2.0, 0.0)   // touching at an endpoint
+	f.Add(0.0, 0.0, 4.0, 0.25, 0.0, 0.25, 4.0, 0.0) // a flat crossing in a thin box overlap
 	f.Fuzz(func(t *testing.T, ax, ay, bx, by, cx, cy, dx, dy float64) {
 		for _, v := range []float64{ax, ay, bx, by, cx, cy, dx, dy} {
 			if math.IsNaN(v) || math.Abs(v) > 1e9 {
@@ -56,6 +63,7 @@ func FuzzSegmentPredicates(f *testing.F) {
 		}
 		s1 := Seg(Pt(ax, ay), Pt(bx, by))
 		s2 := Seg(Pt(cx, cy), Pt(dx, dy))
+		checkBoxFirst(t, s1, s2)
 		proper := SegmentsProperlyIntersect(s1, s2)
 		closed := SegmentsIntersect(s1, s2)
 		if proper && !closed {
@@ -72,4 +80,91 @@ func FuzzSegmentPredicates(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkBoxFirst requires the box-first predicates to equal the
+// orientation-first formulas they replaced. The box reject in
+// SegmentsProperlyIntersect is exact only while Orient is, so the inputs are
+// snapped to a 2⁻²⁰ grid first: differences of coordinates of at most 1e9
+// then fit a float64 and their products fit orientExact's 200 bits.
+func checkBoxFirst(t *testing.T, s1, s2 Segment) {
+	t.Helper()
+	snap := func(p Point) Point {
+		return Pt(math.Round(p.X*0x1p20)/0x1p20, math.Round(p.Y*0x1p20)/0x1p20)
+	}
+	a, b, c, d := snap(s1.A), snap(s1.B), snap(s2.A), snap(s2.B)
+	s1, s2 = Seg(a, b), Seg(c, d)
+	for _, st := range [][2]Segment{{s1, s2}, {s2, s1}} {
+		if got, want := SegmentsProperlyIntersect(st[0], st[1]), properlyIntersectOrientFirst(st[0], st[1]); got != want {
+			t.Fatalf("SegmentsProperlyIntersect(%v, %v) = %v, orientation-first %v", st[0], st[1], got, want)
+		}
+	}
+	for _, ps := range []struct {
+		p Point
+		s Segment
+	}{{c, s1}, {d, s1}, {a, s2}, {b, s2}, {Midpoint(a, b), s2}} {
+		if got, want := OnSegment(ps.p, ps.s), onSegmentOrientFirst(ps.p, ps.s); got != want {
+			t.Fatalf("OnSegment(%v, %v) = %v, orientation-first %v", ps.p, ps.s, got, want)
+		}
+	}
+	for _, poly := range [][]Point{{a, b, c}, {a, b, c, d}} {
+		for _, p := range []Point{d, Midpoint(a, c), Midpoint(b, d)} {
+			if got, want := PointStrictlyInSimple(p, poly), strictlyInSimpleDistFirst(p, poly); got != want {
+				t.Fatalf("PointStrictlyInSimple(%v, %v) = %v, distances-first %v", p, poly, got, want)
+			}
+		}
+	}
+}
+
+// properlyIntersectOrientFirst is SegmentsProperlyIntersect without its box
+// reject.
+func properlyIntersectOrientFirst(s, t Segment) bool {
+	o1 := Orient(s.A, s.B, t.A)
+	o2 := Orient(s.A, s.B, t.B)
+	o3 := Orient(t.A, t.B, s.A)
+	o4 := Orient(t.A, t.B, s.B)
+	return o1 != o2 && o3 != o4 && o1 != Collinear && o2 != Collinear &&
+		o3 != Collinear && o4 != Collinear
+}
+
+// onSegmentOrientFirst is OnSegment with the collinearity test first.
+func onSegmentOrientFirst(p Point, s Segment) bool {
+	if Orient(s.A, s.B, p) != Collinear {
+		return false
+	}
+	return math.Min(s.A.X, s.B.X) <= p.X && p.X <= math.Max(s.A.X, s.B.X) &&
+		math.Min(s.A.Y, s.B.Y) <= p.Y && p.Y <= math.Max(s.A.Y, s.B.Y)
+}
+
+// strictlyInSimpleDistFirst is PointStrictlyInSimple with the per-edge
+// distances first, over a crossing test whose boundary check is
+// onSegmentOrientFirst.
+func strictlyInSimpleDistFirst(p Point, poly []Point) bool {
+	n := len(poly)
+	if n < 3 {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		if DistPointSegment(p, poly[i], poly[(i+1)%n]) <= boundaryTol {
+			return false
+		}
+	}
+	for i := 0; i < n; i++ {
+		if onSegmentOrientFirst(p, Seg(poly[i], poly[(i+1)%n])) {
+			return true
+		}
+	}
+	inside := false
+	j := n - 1
+	for i := 0; i < n; i++ {
+		pi, pj := poly[i], poly[j]
+		if (pi.Y > p.Y) != (pj.Y > p.Y) {
+			xint := (pj.X-pi.X)*(p.Y-pi.Y)/(pj.Y-pi.Y) + pi.X
+			if p.X < xint {
+				inside = !inside
+			}
+		}
+		j = i
+	}
+	return inside
 }

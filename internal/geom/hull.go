@@ -194,10 +194,11 @@ const boundaryTol = 1e-9
 
 // PointStrictlyInSimple reports whether p is strictly inside the simple
 // polygon poly; points on (or within boundaryTol of) the boundary are not
-// strictly inside.
+// strictly inside. The crossing test runs before the per-edge distances,
+// which cost a Hypot each: most points it sees are outside.
 func PointStrictlyInSimple(p Point, poly []Point) bool {
 	n := len(poly)
-	if n < 3 {
+	if n < 3 || !PointInPolygon(p, poly) {
 		return false
 	}
 	for i := 0; i < n; i++ {
@@ -205,7 +206,7 @@ func PointStrictlyInSimple(p Point, poly []Point) bool {
 			return false
 		}
 	}
-	return PointInPolygon(p, poly)
+	return true
 }
 
 // DistPointSegment returns the Euclidean distance from p to the closed

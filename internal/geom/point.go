@@ -95,6 +95,21 @@ func (s Segment) Midpoint() Point { return Midpoint(s.A, s.B) }
 // Reverse returns the segment with endpoints swapped.
 func (s Segment) Reverse() Segment { return Segment{s.B, s.A} }
 
+// Box returns the bounding box of the segment. It swaps coordinates with
+// plain comparisons rather than min and max, whose NaN and signed-zero
+// rules cost more on this hot path; a NaN box is disjoint from nothing
+// either way.
+func (s Segment) Box() Box {
+	b := Box{Min: s.A, Max: s.B}
+	if b.Min.X > b.Max.X {
+		b.Min.X, b.Max.X = b.Max.X, b.Min.X
+	}
+	if b.Min.Y > b.Max.Y {
+		b.Min.Y, b.Max.Y = b.Max.Y, b.Min.Y
+	}
+	return b
+}
+
 // Box is an axis-aligned bounding box.
 type Box struct {
 	Min, Max Point
@@ -130,6 +145,12 @@ func (b Box) Union(c Box) Box { return b.Extend(c.Min).Extend(c.Max) }
 // Contains reports whether p lies in the closed box.
 func (b Box) Contains(p Point) bool {
 	return p.X >= b.Min.X && p.X <= b.Max.X && p.Y >= b.Min.Y && p.Y <= b.Max.Y
+}
+
+// Disjoint reports whether the closed boxes b and c share no point; boxes
+// that only touch are not disjoint. A NaN coordinate makes no box disjoint.
+func (b Box) Disjoint(c Box) bool {
+	return b.Max.X < c.Min.X || c.Max.X < b.Min.X || b.Max.Y < c.Min.Y || c.Max.Y < b.Min.Y
 }
 
 // Width returns the horizontal extent of the box.

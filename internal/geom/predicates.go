@@ -163,8 +163,12 @@ func InDiametralCircle(a, b, p Point) bool {
 }
 
 // SegmentsProperlyIntersect reports whether segments s and t cross at a point
-// interior to both. Shared endpoints and touchings do not count.
+// interior to both. Shared endpoints and touchings do not count. A crossing
+// lies in both bounding boxes, so disjoint boxes answer without an Orient.
 func SegmentsProperlyIntersect(s, t Segment) bool {
+	if s.Box().Disjoint(t.Box()) {
+		return false
+	}
 	o1 := Orient(s.A, s.B, t.A)
 	o2 := Orient(s.A, s.B, t.B)
 	o3 := Orient(t.A, t.B, s.A)
@@ -174,13 +178,10 @@ func SegmentsProperlyIntersect(s, t Segment) bool {
 }
 
 // OnSegment reports whether p lies on the closed segment s (including
-// endpoints), using exact orientation for the collinearity test.
+// endpoints), using exact orientation for the collinearity test. The box
+// test runs first: it is cheaper and rejects most points.
 func OnSegment(p Point, s Segment) bool {
-	if Orient(s.A, s.B, p) != Collinear {
-		return false
-	}
-	return math.Min(s.A.X, s.B.X) <= p.X && p.X <= math.Max(s.A.X, s.B.X) &&
-		math.Min(s.A.Y, s.B.Y) <= p.Y && p.Y <= math.Max(s.A.Y, s.B.Y)
+	return s.Box().Contains(p) && Orient(s.A, s.B, p) == Collinear
 }
 
 // SegmentsIntersect reports whether the closed segments share any point,
@@ -200,10 +201,31 @@ func SegmentIntersection(s, t Segment) (Point, bool) {
 	q := t.B.Sub(t.A)
 	den := r.Cross(q)
 	if den == 0 {
-		return Point{}, false
+		// The float cross product also cancels on nearly parallel lines.
+		return segmentIntersectionExact(s, t)
 	}
 	u := t.A.Sub(s.A).Cross(q) / den
 	return s.A.Add(r.Scale(u)), true
+}
+
+// segmentIntersectionExact is SegmentIntersection in exact rational
+// arithmetic, rounded to the nearest point at the end.
+func segmentIntersectionExact(s, t Segment) (Point, bool) {
+	rat := func(x float64) *big.Rat { return new(big.Rat).SetFloat64(x) }
+	sub := func(x, y float64) *big.Rat { return new(big.Rat).Sub(rat(x), rat(y)) }
+	cross := func(x1, y1, x2, y2 *big.Rat) *big.Rat {
+		return new(big.Rat).Sub(new(big.Rat).Mul(x1, y2), new(big.Rat).Mul(y1, x2))
+	}
+	rx, ry := sub(s.B.X, s.A.X), sub(s.B.Y, s.A.Y)
+	qx, qy := sub(t.B.X, t.A.X), sub(t.B.Y, t.A.Y)
+	den := cross(rx, ry, qx, qy)
+	if den.Sign() == 0 {
+		return Point{}, false
+	}
+	u := new(big.Rat).Quo(cross(sub(t.A.X, s.A.X), sub(t.A.Y, s.A.Y), qx, qy), den)
+	x, _ := new(big.Rat).Add(rat(s.A.X), new(big.Rat).Mul(u, rx)).Float64()
+	y, _ := new(big.Rat).Add(rat(s.A.Y), new(big.Rat).Mul(u, ry)).Float64()
+	return Point{x, y}, true
 }
 
 // AngleAt returns the interior angle ∠(u, v, w) at vertex v in radians,

@@ -190,6 +190,14 @@ func TestSegmentIntersectionPoint(t *testing.T) {
 	if _, ok := SegmentIntersection(Seg(Pt(0, 0), Pt(1, 0)), Seg(Pt(0, 1), Pt(1, 1))); ok {
 		t.Error("parallel lines have no intersection")
 	}
+	// Nearly parallel crossing segments whose float cross product of
+	// directions cancels to 0 (found by FuzzSegmentPredicates).
+	s1, s2 := Seg(Pt(9, 0.23333333333333334), Pt(-28, -1)), Seg(Pt(2, 0), Pt(26, 0.8))
+	p, ok = SegmentIntersection(s1, s2)
+	if !SegmentsProperlyIntersect(s1, s2) || !ok ||
+		DistPointSegment(p, s1.A, s1.B) > 1e-9 || DistPointSegment(p, s2.A, s2.B) > 1e-9 {
+		t.Errorf("nearly parallel crossing: intersection = %v ok=%v", p, ok)
+	}
 }
 
 func TestOnSegment(t *testing.T) {

@@ -1,10 +1,6 @@
 package routing
 
-import (
-	"sort"
-
-	"hybridroute/internal/geom"
-)
+import "hybridroute/internal/geom"
 
 // Chew routes from s to t along the faces of the triangulation intersected
 // by the segment st, the strategy of Theorem 2.10/2.11: on Delaunay-type
@@ -214,10 +210,10 @@ func (r *Router) corridorChains(L geom.Segment, s, t NodeID, prefix []int, holeF
 		return append(chain, v)
 	}
 	for _, fi := range prefix {
-		f := r.faces[fi]
-		// Order the face's vertices by their projection along the segment so
-		// chains grow front to back.
-		verts := append([]NodeID(nil), f.Cycle...)
+		// Order the triangle's vertices by their projection along the segment
+		// so chains grow front to back. The walk only yields 3-cycles.
+		var buf [3]NodeID
+		verts := buf[:copy(buf[:], r.faces[fi].Cycle)]
 		sortByParam(verts, func(v NodeID) float64 { return paramOf(r.g.Point(v)) })
 		for _, v := range verts {
 			if v == s || v == t {
@@ -321,7 +317,13 @@ func (r *Router) fallback(s, t NodeID) Result {
 }
 
 // sortByParam orders vertices by key, keeping the input order of equal keys
-// (corridor chains depend on that stability for determinism).
+// (corridor chains depend on that stability for determinism). It is the
+// insertion sort sort.SliceStable runs on short slices, without the
+// reflection: it sorts a triangle's three vertices per corridor step.
 func sortByParam(vs []NodeID, key func(NodeID) float64) {
-	sort.SliceStable(vs, func(i, j int) bool { return key(vs[i]) < key(vs[j]) })
+	for i := 1; i < len(vs); i++ {
+		for j := i; j > 0 && key(vs[j]) < key(vs[j-1]); j-- {
+			vs[j], vs[j-1] = vs[j-1], vs[j]
+		}
+	}
 }

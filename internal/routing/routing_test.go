@@ -299,13 +299,29 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
+// chewFixture is BenchmarkChew's query: corner to corner across a 16×16
+// grid with a hole of radius 2 in the middle.
+func chewFixture(tb testing.TB) (r *Router, s, d NodeID) {
+	g, r, _ := buildScenario(tb, 0.55, 8, 8, 2.0)
+	return r, nodeNear(g, geom.Pt(0.2, 0.2)), nodeNear(g, geom.Pt(7.8, 7.8))
+}
+
 func BenchmarkChew(b *testing.B) {
-	g, r, _ := buildScenario(b, 0.55, 8, 8, 2.0)
-	s := nodeNear(g, geom.Pt(0.2, 0.2))
-	d := nodeNear(g, geom.Pt(7.8, 7.8))
+	r, s, d := chewFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Chew(s, d)
+	}
+}
+
+// TestChewAllocs gates BenchmarkChew's allocations at their measured count:
+// the corridor chains sort each triangle in a stack buffer, so what remains
+// is the walk's prefix, the growing chains and the hole-hit bookkeeping.
+func TestChewAllocs(t *testing.T) {
+	r, s, d := chewFixture(t)
+	const want = 24
+	if got := testing.AllocsPerRun(100, func() { r.Chew(s, d) }); got > want {
+		t.Fatalf("Chew allocates %.0f times per query, want at most %d", got, want)
 	}
 }
 

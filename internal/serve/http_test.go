@@ -72,6 +72,8 @@ func TestHTTPAPI(t *testing.T) {
 	}
 	released = true
 	close(g.release)
+	// The queue stays full until the worker has taken the parked requests.
+	waitFor(func() bool { return srv.ServerStats().Completed == 3 }, "the parked requests to complete")
 
 	// A served request answers with the route.
 	resp, body := postRoute(t, ts, `{"s":0,"t":`+itoa(nw.G.N()-1)+`}`)

@@ -9,7 +9,6 @@
 package vis
 
 import (
-	"container/heap"
 	"math"
 
 	"hybridroute/internal/delaunay"
@@ -20,17 +19,22 @@ import (
 // queries and shortest paths whose interior vertices are obstacle corners.
 type Domain struct {
 	obstacles [][]geom.Point
-	corners   []geom.Point
-	// cornerAdj[i] lists the visible corners j > i is not required; full
-	// symmetric adjacency with weights.
+	// boxes[k] bounds obstacles[k]. A segment whose box is disjoint from it,
+	// or a point outside it, cannot meet the obstacle's interior, so the
+	// polygon test is skipped.
+	boxes   []geom.Box
+	corners []geom.Point
+	// cornerAdj[i] lists the corners visible from corner i, in increasing
+	// order; the relation is symmetric.
 	cornerAdj [][]int
 }
 
 // NewDomain builds the visibility structure over the given obstacle
 // polygons (each a vertex cycle, any orientation).
 func NewDomain(obstacles [][]geom.Point) *Domain {
-	d := &Domain{obstacles: obstacles}
-	for _, poly := range obstacles {
+	d := &Domain{obstacles: obstacles, boxes: make([]geom.Box, len(obstacles))}
+	for k, poly := range obstacles {
+		d.boxes[k] = geom.BoundingBox(poly)
 		d.corners = append(d.corners, poly...)
 	}
 	n := len(d.corners)
@@ -65,11 +69,13 @@ func (d *Domain) CornerEdges() int {
 
 // Visible reports whether the open segment ab avoids every obstacle
 // interior: the segment may touch boundaries and run along obstacle edges,
-// but may not properly cross an edge or pass through an interior.
+// but may not properly cross an edge or pass through an interior. Only
+// obstacles whose box meets the segment's box are tested.
 func (d *Domain) Visible(a, b geom.Point) bool {
 	s := geom.Seg(a, b)
-	for _, poly := range d.obstacles {
-		if geom.SegmentIntersectsPolygon(s, poly) {
+	sb := s.Box()
+	for k, poly := range d.obstacles {
+		if !sb.Disjoint(d.boxes[k]) && geom.SegmentIntersectsPolygon(s, poly) {
 			return false
 		}
 	}
@@ -78,8 +84,8 @@ func (d *Domain) Visible(a, b geom.Point) bool {
 
 // PointInObstacle reports whether p lies strictly inside some obstacle.
 func (d *Domain) PointInObstacle(p geom.Point) bool {
-	for _, poly := range d.obstacles {
-		if geom.PointStrictlyInSimple(p, poly) {
+	for k, poly := range d.obstacles {
+		if d.boxes[k].Contains(p) && geom.PointStrictlyInSimple(p, poly) {
 			return true
 		}
 	}
@@ -91,6 +97,22 @@ func (d *Domain) PointInObstacle(p geom.Point) bool {
 // only when s or t is strictly inside an obstacle (the domain is otherwise
 // connected).
 func (d *Domain) ShortestPath(s, t geom.Point) ([]geom.Point, float64, bool) {
+	return d.plan(d.cornerAdj, s, t)
+}
+
+// planNode is one node of a plan's search: a corner, s or t.
+type planNode struct {
+	dist         float64
+	prev         int
+	seesS, seesT bool // a corner visible from s or from t
+}
+
+// plan runs Euclidean Dijkstra from s to t over the corner graph adj,
+// entering from s at every corner it sees and leaving for t from every
+// corner that sees t. Node n is s and n+1 is t; s's neighbours are the
+// corners it sees in index order, and t is the last neighbour of each
+// corner that sees it. adj is only read, so callers share it.
+func (d *Domain) plan(adj [][]int, s, t geom.Point) ([]geom.Point, float64, bool) {
 	if d.PointInObstacle(s) || d.PointInObstacle(t) {
 		return nil, 0, false
 	}
@@ -98,78 +120,70 @@ func (d *Domain) ShortestPath(s, t geom.Point) ([]geom.Point, float64, bool) {
 		return []geom.Point{s, t}, s.Dist(t), true
 	}
 	n := len(d.corners)
-	// Graph nodes: corners 0..n-1, s = n, t = n+1.
-	adj := make([][]int, n+2)
-	for i := 0; i < n; i++ {
-		adj[i] = d.cornerAdj[i]
+	src, dst := n, n+1
+	nodes := make([]planNode, n+2)
+	for i := range nodes {
+		nodes[i] = planNode{dist: math.Inf(1), prev: -1}
 	}
-	for i := 0; i < n; i++ {
-		if d.Visible(s, d.corners[i]) {
-			adj[n] = append(adj[n], i)
-		}
-		if d.Visible(t, d.corners[i]) {
-			adj[i] = append(append([]int(nil), adj[i]...), n+1) // copy-on-write
-			adj[n+1] = append(adj[n+1], i)
-		}
+	for i, c := range d.corners {
+		nodes[i].seesS = d.Visible(s, c)
+		nodes[i].seesT = d.Visible(t, c)
 	}
 	pos := func(i int) geom.Point {
 		switch i {
-		case n:
+		case src:
 			return s
-		case n + 1:
+		case dst:
 			return t
 		default:
 			return d.corners[i]
 		}
 	}
-	return dijkstraPoints(adj, pos, n, n+1)
-}
-
-// dijkstraPoints runs Euclidean Dijkstra over an index graph with a position
-// function, from src to dst.
-func dijkstraPoints(adj [][]int, pos func(int) geom.Point, src, dst int) ([]geom.Point, float64, bool) {
-	n := len(adj)
-	dist := make([]float64, n)
-	prev := make([]int, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
+	nodes[src].dist = 0
+	pq := append(make(visHeap, 0, n+2), visItem{src, 0})
+	relax := func(v, w int, dv float64, pv geom.Point) {
+		if nd := dv + pv.Dist(pos(w)); nd < nodes[w].dist {
+			nodes[w].dist = nd
+			nodes[w].prev = v
+			pq.push(visItem{w, nd})
+		}
 	}
-	dist[src] = 0
-	pq := &visHeap{{src, 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(visItem)
-		if it.d > dist[it.v] {
+	for len(pq) > 0 {
+		it := pq.pop()
+		if it.d > nodes[it.v].dist {
 			continue
 		}
 		if it.v == dst {
 			break
 		}
 		pv := pos(it.v)
-		for _, w := range adj[it.v] {
-			nd := it.d + pv.Dist(pos(w))
-			if nd < dist[w] {
-				dist[w] = nd
-				prev[w] = it.v
-				heap.Push(pq, visItem{w, nd})
+		if it.v == src {
+			for w := 0; w < n; w++ {
+				if nodes[w].seesS {
+					relax(it.v, w, it.d, pv)
+				}
 			}
+			continue
+		}
+		for _, w := range adj[it.v] {
+			relax(it.v, w, it.d, pv)
+		}
+		if nodes[it.v].seesT {
+			relax(it.v, dst, it.d, pv)
 		}
 	}
-	if math.IsInf(dist[dst], 1) {
+	if math.IsInf(nodes[dst].dist, 1) {
 		return nil, 0, false
 	}
-	var idxPath []int
-	for v := dst; v != -1; v = prev[v] {
-		idxPath = append(idxPath, v)
-		if v == src {
-			break
-		}
+	hops := 1
+	for v := dst; v != src; v = nodes[v].prev {
+		hops++
 	}
-	path := make([]geom.Point, len(idxPath))
-	for i, v := range idxPath {
-		path[len(idxPath)-1-i] = pos(v)
+	path := make([]geom.Point, hops)
+	for v, i := dst, hops-1; i >= 0; v, i = nodes[v].prev, i-1 {
+		path[i] = pos(v)
 	}
-	return path, dist[dst], true
+	return path, nodes[dst].dist, true
 }
 
 type visItem struct {
@@ -177,18 +191,43 @@ type visItem struct {
 	d float64
 }
 
+// visHeap is a binary min-heap on d with container/heap's sift order, so
+// items of equal distance pop in the same order they would there.
 type visHeap []visItem
 
-func (h visHeap) Len() int            { return len(h) }
-func (h visHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h visHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *visHeap) Push(x interface{}) { *h = append(*h, x.(visItem)) }
-func (h *visHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *visHeap) push(it visItem) {
+	*h = append(*h, it)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(q[j].d < q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *visHeap) pop() visItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].d < q[j].d {
+			j = j2
+		}
+		if !(q[j].d < q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // Overlay is the Overlay Delaunay Graph of Section 4: the Delaunay graph of
@@ -277,35 +316,5 @@ func (o *Overlay) PointInObstacle(p geom.Point) bool { return o.domain.PointInOb
 // Delaunay graph, entering and leaving at visible hull corners. This is the
 // path the convex hull nodes compute for the routing protocol of Section 4.3.
 func (o *Overlay) ShortestPath(s, t geom.Point) ([]geom.Point, float64, bool) {
-	if o.domain.PointInObstacle(s) || o.domain.PointInObstacle(t) {
-		return nil, 0, false
-	}
-	if o.domain.Visible(s, t) {
-		return []geom.Point{s, t}, s.Dist(t), true
-	}
-	n := len(o.corners)
-	adj := make([][]int, n+2)
-	for i := 0; i < n; i++ {
-		adj[i] = o.adj[i]
-	}
-	for i := 0; i < n; i++ {
-		if o.domain.Visible(s, o.corners[i]) {
-			adj[n] = append(adj[n], i)
-		}
-		if o.domain.Visible(t, o.corners[i]) {
-			adj[i] = append(append([]int(nil), adj[i]...), n+1)
-			adj[n+1] = append(adj[n+1], i)
-		}
-	}
-	pos := func(i int) geom.Point {
-		switch i {
-		case n:
-			return s
-		case n + 1:
-			return t
-		default:
-			return o.corners[i]
-		}
-	}
-	return dijkstraPoints(adj, pos, n, n+1)
+	return o.domain.plan(o.adj, s, t)
 }
