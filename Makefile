@@ -27,18 +27,21 @@ test:
 race:
 	go test -race ./internal/abstraction/... ./internal/cluster/... ./internal/core/... ./internal/delaunay/... ./internal/mem/... ./internal/routing/... ./internal/serve/... ./internal/sim/... ./internal/trace/...
 
-# Fuzz the degenerate-geometry targets, 20 s each: the Chew corridor walk
-# against its full-scan reference, the box-culled visibility domain and its
-# planners against their unculled reference, the convex hull (and its
-# boundary walk), and the segment predicates (also against their
-# orientation-first formulas). Go fuzzes one target per invocation. A walk
-# or domain input costs milliseconds, so their new inputs are minimized for
-# 5 s, not the default 60 s that would use up the whole run.
+# Fuzz the degenerate-geometry targets, 20 s each: FuzzChewWalk (the Chew
+# corridor walk against its full-scan reference), FuzzDomainVisible (the
+# culled visibility domain, its convex-hull obstacles' separating-edge
+# certificate and its planners, one-source included, against their unculled
+# reference), FuzzConvexHull (the hull and its boundary walk) and
+# FuzzSegmentPredicates (the segment predicates, also against their
+# orientation-first formulas, and the one-pass PointInPolygon against its
+# two-pass formula). Go fuzzes one target per invocation. A walk or domain
+# input costs milliseconds, so their new inputs are minimized for 5 s, not
+# the default 60 s that would use up the whole run; so are the predicates'.
 fuzz:
 	go test ./internal/routing -run '^$$' -fuzz '^FuzzChewWalk$$' -fuzztime 20s -fuzzminimizetime 5s
 	go test ./internal/vis -run '^$$' -fuzz '^FuzzDomainVisible$$' -fuzztime 20s -fuzzminimizetime 5s
 	go test ./internal/geom -run '^$$' -fuzz '^FuzzConvexHull$$' -fuzztime 20s
-	go test ./internal/geom -run '^$$' -fuzz '^FuzzSegmentPredicates$$' -fuzztime 20s
+	go test ./internal/geom -run '^$$' -fuzz '^FuzzSegmentPredicates$$' -fuzztime 20s -fuzzminimizetime 5s
 
 # Benchmarks stream through cmd/benchjson, which passes the benchstat-friendly
 # text through unchanged and archives a JSON summary for CI artifacts. -merge

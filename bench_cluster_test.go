@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -25,10 +26,14 @@ import (
 )
 
 // benchClusterLoop drives b.N sequential queries against a /route endpoint
-// over real HTTP and reports achieved qps.
+// over real HTTP and reports achieved qps. The loop is sequential, so one
+// pooled keep-alive connection carries every query once each body is read
+// to EOF: the legs measure the HTTP hop and the gateway, not TCP connects.
 func benchClusterLoop(b *testing.B, url string, nodes int) {
 	b.Helper()
-	client := &http.Client{}
+	tr := &http.Transport{MaxIdleConnsPerHost: 1}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
 	start := time.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -39,10 +44,14 @@ func benchClusterLoop(b *testing.B, url string, nodes int) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("query %d: status %d", i, resp.StatusCode)
 		}
-		resp.Body.Close()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "qps")

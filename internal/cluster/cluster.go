@@ -46,7 +46,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -141,6 +143,38 @@ func (c Config) withDefaults(backends int) Config {
 	return c
 }
 
+// connsPerBackend is how many idle keep-alive connections the gateway keeps
+// to each backend: one attempt and one hedge for every request that can run
+// at once.
+func connsPerBackend() int { return 2 * runtime.GOMAXPROCS(0) }
+
+// newTransport is the gateway's own connection pool to its backends. Go's
+// default keeps only two idle connections per host, so a busier gateway
+// would dial a fresh one for most attempts. The dial, TLS and
+// response-header timeouts sit well above a cold hole-hitting query and are
+// backstops only: the attempt and probe contexts bound each request first.
+func newTransport(cfg Config, backends int) *http.Transport {
+	header := 10 * time.Second
+	if cfg.AttemptTimeout > header {
+		header = cfg.AttemptTimeout
+	}
+	return &http.Transport{
+		DialContext:           (&net.Dialer{Timeout: 5 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+		TLSHandshakeTimeout:   5 * time.Second,
+		ResponseHeaderTimeout: header,
+		MaxIdleConns:          connsPerBackend() * backends,
+		MaxIdleConnsPerHost:   connsPerBackend(),
+		IdleConnTimeout:       90 * time.Second,
+	}
+}
+
+// drainClose reads a response body to EOF before closing it, so its
+// connection goes back to the keep-alive pool instead of being torn down.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, body)
+	body.Close()
+}
+
 // backendRef is the gateway's view of one backend.
 type backendRef struct {
 	idx       int
@@ -190,7 +224,7 @@ func NewGateway(nw *core.Network, backends []BackendInfo, cfg Config) (*Gateway,
 	g := &Gateway{
 		cfg:    cfg,
 		nw:     nw,
-		client: &http.Client{},
+		client: &http.Client{Transport: newTransport(cfg, len(backends))},
 		reg:    trace.NewRegistry(),
 		rng:    rand.New(rand.NewSource(int64(cfg.Seed))),
 		stop:   make(chan struct{}),
@@ -248,7 +282,8 @@ func (g *Gateway) Start() {
 	go g.healthLoop()
 }
 
-// Close stops the background poller.
+// Close stops the background poller and closes the idle backend
+// connections.
 func (g *Gateway) Close() {
 	if g.closed.Swap(true) {
 		return
@@ -257,6 +292,7 @@ func (g *Gateway) Close() {
 		close(g.stop)
 		g.bg.Wait()
 	}
+	g.client.CloseIdleConnections()
 }
 
 // regionOf maps a source node to its grid region.
@@ -349,7 +385,7 @@ func (g *Gateway) attempt(ctx context.Context, b *backendRef, body []byte, recor
 		}
 		return attemptResult{latency: lat, err: err}
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	buf, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
 		if recordFailure == nil || recordFailure() {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -618,4 +619,42 @@ func TestInstancePauseResume(t *testing.T) {
 		t.Fatalf("slowed request took %v, want >= 80ms", took)
 	}
 	in.Slow(0)
+}
+
+// TestGatewayReusesBackendConnections pins the gateway's keep-alive pool:
+// sequential queries and health passes, whose /readyz bodies must be read to
+// EOF, open at most the pool's size of connections to each backend instead
+// of one per request.
+func TestGatewayReusesBackendConnections(t *testing.T) {
+	pool := connsPerBackend()
+	requests := pool + 20
+	var conns [2]atomic.Int32
+	urls := make([]string, len(conns))
+	for i := range conns {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) { _, _ = w.Write([]byte("ready\n")) })
+		mux.HandleFunc("/route", okRoute(""))
+		ts := httptest.NewUnstartedServer(mux)
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				conns[i].Add(1)
+			}
+		}
+		ts.Start()
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	g := newFakeGateway(t, Config{Replicas: 2}, urls...)
+	defer g.Close()
+	for i := 0; i < requests; i++ {
+		if rec := postRoute(g.Handler(), i%20, (i+7)%20); rec.Code != http.StatusOK {
+			t.Fatalf("query %d: status %d", i, rec.Code)
+		}
+		g.CheckHealth()
+	}
+	for i := range conns {
+		if got := int(conns[i].Load()); got > pool {
+			t.Errorf("backend %d: %d connections for %d queries and health passes, want at most %d", i, got, requests, pool)
+		}
+	}
 }

@@ -61,7 +61,7 @@ func (g *Gateway) probe(b *backendRef) bool {
 	if err != nil {
 		return false
 	}
-	resp.Body.Close()
+	drainClose(resp.Body)
 	return resp.StatusCode == http.StatusOK
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"hybridroute/internal/geom"
@@ -225,5 +226,39 @@ func TestTransportGoldenDigest(t *testing.T) {
 	}
 	if got := transportDigest(t); got != goldenTransportDigest {
 		t.Fatalf("transport reports drifted from the recorded batch: digest %s, want %s", got, goldenTransportDigest)
+	}
+}
+
+// TestExitPlanSearchMatchesShortestPath requires the exit plan's
+// one-source search to answer exactly as one ShortestPath per target: from
+// every node inside each group's merged hull of goldenScenario, and from
+// every corner of that hull, to every corner of that hull.
+func TestExitPlanSearchMatchesShortestPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden digest scenario is not short")
+	}
+	nw := goldenScenario(t)
+	inner := 0
+	for gi, grp := range nw.Groups {
+		dom := nw.groupDomain(gi)
+		sources := append([]geom.Point(nil), grp.Hull...)
+		for v := 0; v < nw.G.N(); v++ {
+			if p := nw.G.Point(sim.NodeID(v)); nw.groupAt(p) == gi {
+				sources = append(sources, p)
+				inner++
+			}
+		}
+		for _, s := range sources {
+			for k, p := range dom.ShortestPathsFrom(s, grp.Hull) {
+				path, length, ok := dom.ShortestPath(s, grp.Hull[k])
+				if p.OK != ok || p.Length != length || !slices.Equal(p.Points, path) {
+					t.Fatalf("group %d: ShortestPathsFrom(%v) to corner %v = %v %v %v, ShortestPath %v %v %v",
+						gi, s, grp.Hull[k], p.Points, p.Length, p.OK, path, length, ok)
+				}
+			}
+		}
+	}
+	if inner == 0 {
+		t.Fatal("no node lies inside a merged hull")
 	}
 }

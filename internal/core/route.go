@@ -297,15 +297,25 @@ func (nw *Network) exitPlan(gi int, v sim.NodeID, toward geom.Point) ([]sim.Node
 	if tries > 6 {
 		tries = 6
 	}
+	// Plan to every candidate in one search from v, which finds the corners
+	// v sees once for all of them.
+	exits := make([]sim.NodeID, 0, tries)
+	targets := make([]geom.Point, 0, tries)
+	for _, ci := range order[:tries] {
+		if x, ok := nw.waypointNode(corners[ci]); ok {
+			exits = append(exits, x)
+			targets = append(targets, nw.G.Point(x))
+		}
+	}
+	plans := nw.groupDomain(gi).ShortestPathsFrom(pv, targets)
 	bestLen := -1.0
 	var best []sim.NodeID
 	var bestExit sim.NodeID = -1
-	for _, ci := range order[:tries] {
-		x, ok := nw.waypointNode(corners[ci])
-		if !ok {
+	for k, x := range exits {
+		if !plans[k].OK {
 			continue
 		}
-		wps, ok := nw.groupPathNodesTo(gi, v, x)
+		wps, ok := nw.pointsToNodes(v, x, plans[k].Points)
 		if !ok {
 			continue
 		}
@@ -331,15 +341,11 @@ func (nw *Network) groupPathNodes(gi int, s, t sim.NodeID) ([]sim.NodeID, bool) 
 	if gi < 0 {
 		return nil, false
 	}
-	return nw.groupPathNodesTo(gi, s, t)
-}
-
-func (nw *Network) groupPathNodesTo(gi int, from, to sim.NodeID) ([]sim.NodeID, bool) {
-	pts, _, ok := nw.groupDomain(gi).ShortestPath(nw.G.Point(from), nw.G.Point(to))
+	pts, _, ok := nw.groupDomain(gi).ShortestPath(nw.G.Point(s), nw.G.Point(t))
 	if !ok {
 		return nil, false
 	}
-	return nw.pointsToNodes(from, to, pts)
+	return nw.pointsToNodes(s, t, pts)
 }
 
 // overlayWaypoints maps an abstraction waypoint path between two nodes to

@@ -182,8 +182,11 @@ func (t *Triangulation) insert(pi int32) {
 	// found by BFS from the containing triangle. The containing triangle is
 	// always part of the cavity (p lies inside it, hence inside its
 	// circumcircle, except exactly-on-circle degeneracies which the exact
-	// predicate resolves consistently).
-	cavity := map[int32]bool{seed: true}
+	// predicate resolves consistently). The cavity is kept in discovery
+	// order, with a membership set beside it, so the new triangles (and
+	// Edges' order) depend on the input alone.
+	cavity := []int32{seed}
+	inCavity := map[int32]bool{seed: true}
 	stack := []int32{seed}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
@@ -192,12 +195,13 @@ func (t *Triangulation) insert(pi int32) {
 		for e := 0; e < 3; e++ {
 			a, b := tr.v[e], tr.v[(e+1)%3]
 			nb := t.neighbor(a, b)
-			if nb < 0 || cavity[nb] {
+			if nb < 0 || inCavity[nb] {
 				continue
 			}
 			nt := t.tris[nb]
 			if geom.InCircle(t.pts[nt.v[0]], t.pts[nt.v[1]], t.pts[nt.v[2]], p) {
-				cavity[nb] = true
+				cavity = append(cavity, nb)
+				inCavity[nb] = true
 				stack = append(stack, nb)
 			}
 		}
@@ -207,17 +211,17 @@ func (t *Triangulation) insert(pi int32) {
 	// opposite triangle is outside the cavity.
 	type bedge struct{ a, b int32 }
 	var boundary []bedge
-	for id := range cavity {
+	for _, id := range cavity {
 		tr := t.tris[id]
 		for e := 0; e < 3; e++ {
 			a, b := tr.v[e], tr.v[(e+1)%3]
 			nb := t.neighbor(a, b)
-			if nb < 0 || !cavity[nb] {
+			if nb < 0 || !inCavity[nb] {
 				boundary = append(boundary, bedge{a, b})
 			}
 		}
 	}
-	for id := range cavity {
+	for _, id := range cavity {
 		t.removeTri(id)
 	}
 	for _, e := range boundary {

@@ -2,6 +2,7 @@ package delaunay
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hybridroute/internal/geom"
@@ -25,6 +26,20 @@ func TestTriangulateSquare(t *testing.T) {
 	}
 	if got := len(tr.Edges()); got != 5 {
 		t.Errorf("square triangulation has %d edges, want 5", got)
+	}
+}
+
+// TestTriangulateDeterministic requires the same input to give the same
+// triangles and edges in the same order on every run: a cavity iterated in
+// map order would reorder them.
+func TestTriangulateDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pts := randomPts(rng, 300, 10, 10)
+	want := Triangulate(pts).Edges()
+	for run := 0; run < 10; run++ {
+		if got := Triangulate(pts).Edges(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: Edges() order differs from the first run", run)
+		}
 	}
 }
 

@@ -46,7 +46,8 @@ func FuzzConvexHull(f *testing.F) {
 // a proper intersection implies a closed intersection, and the intersection
 // point (when the predicate holds) lies on both segments. It also requires
 // the box-first OnSegment, SegmentsProperlyIntersect and
-// PointStrictlyInSimple to equal their orientation-first formulas.
+// PointStrictlyInSimple to equal their orientation-first formulas, and the
+// one-pass PointInPolygon to equal its two-pass formula.
 func FuzzSegmentPredicates(f *testing.F) {
 	f.Add(0.0, 0.0, 2.0, 2.0, 0.0, 2.0, 2.0, 0.0)
 	f.Add(0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 3.0, 0.0)
@@ -55,6 +56,7 @@ func FuzzSegmentPredicates(f *testing.F) {
 	f.Add(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 2.0, 2.0)   // zero length, on the other
 	f.Add(0.0, 0.0, 4.0, 0.0, 2.0, 3.0, 2.0, 0.0)   // touching at an endpoint
 	f.Add(0.0, 0.0, 4.0, 0.25, 0.0, 0.25, 4.0, 0.0) // a flat crossing in a thin box overlap
+	f.Add(0.0, 0.0, 1.0, 0.0, 2.0, -72.0, 3.0, 0.0) // points on the quadrilateral's closing edge
 	f.Fuzz(func(t *testing.T, ax, ay, bx, by, cx, cy, dx, dy float64) {
 		for _, v := range []float64{ax, ay, bx, by, cx, cy, dx, dy} {
 			if math.IsNaN(v) || math.Abs(v) > 1e9 {
@@ -64,6 +66,7 @@ func FuzzSegmentPredicates(f *testing.F) {
 		s1 := Seg(Pt(ax, ay), Pt(bx, by))
 		s2 := Seg(Pt(cx, cy), Pt(dx, dy))
 		checkBoxFirst(t, s1, s2)
+		checkPointInPolygon(t, s1, s2)
 		proper := SegmentsProperlyIntersect(s1, s2)
 		closed := SegmentsIntersect(s1, s2)
 		if proper && !closed {
@@ -114,6 +117,48 @@ func checkBoxFirst(t *testing.T, s1, s2 Segment) {
 			}
 		}
 	}
+}
+
+// checkPointInPolygon requires PointInPolygon to equal its two-pass
+// formula on the triangle and quadrilateral through the segments' endpoints,
+// at their corners, edge midpoints and the other points the predicates use.
+func checkPointInPolygon(t *testing.T, s1, s2 Segment) {
+	t.Helper()
+	a, b, c, d := s1.A, s1.B, s2.A, s2.B
+	for _, poly := range [][]Point{{a, b, c}, {a, b, c, d}} {
+		for _, p := range []Point{a, c, d, Midpoint(a, b), Midpoint(b, c), Midpoint(a, c), Midpoint(b, d)} {
+			if got, want := PointInPolygon(p, poly), pointInPolygonTwoPass(p, poly); got != want {
+				t.Fatalf("PointInPolygon(%v, %v) = %v, two-pass %v", p, poly, got, want)
+			}
+		}
+	}
+}
+
+// pointInPolygonTwoPass is PointInPolygon with the boundary test in a pass of
+// its own before the crossing count.
+func pointInPolygonTwoPass(p Point, poly []Point) bool {
+	n := len(poly)
+	if n < 3 {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		if OnSegment(p, Seg(poly[i], poly[(i+1)%n])) {
+			return true
+		}
+	}
+	inside := false
+	j := n - 1
+	for i := 0; i < n; i++ {
+		pi, pj := poly[i], poly[j]
+		if (pi.Y > p.Y) != (pj.Y > p.Y) {
+			xint := (pj.X-pi.X)*(p.Y-pi.Y)/(pj.Y-pi.Y) + pi.X
+			if p.X < xint {
+				inside = !inside
+			}
+		}
+		j = i
+	}
+	return inside
 }
 
 // properlyIntersectOrientFirst is SegmentsProperlyIntersect without its box

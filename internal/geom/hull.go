@@ -135,21 +135,20 @@ func PointStrictlyInConvex(p Point, poly []Point) bool {
 
 // PointInPolygon reports whether p is inside the simple polygon poly
 // (arbitrary orientation) by the even-odd crossing rule. Boundary points
-// count as inside.
+// count as inside: the first edge found to hold p answers, so one walk over
+// the edges serves both tests.
 func PointInPolygon(p Point, poly []Point) bool {
 	n := len(poly)
 	if n < 3 {
 		return false
 	}
-	for i := 0; i < n; i++ {
-		if OnSegment(p, Seg(poly[i], poly[(i+1)%n])) {
-			return true
-		}
-	}
 	inside := false
 	j := n - 1
 	for i := 0; i < n; i++ {
 		pi, pj := poly[i], poly[j]
+		if OnSegment(p, Seg(pj, pi)) {
+			return true
+		}
 		if (pi.Y > p.Y) != (pj.Y > p.Y) {
 			xint := (pj.X-pi.X)*(p.Y-pi.Y)/(pj.Y-pi.Y) + pi.X
 			if p.X < xint {

@@ -201,12 +201,22 @@ func (r *Router) corridorChains(L geom.Segment, s, t NodeID, prefix []int, holeF
 
 	left = []NodeID{s}
 	right = []NodeID{s}
+	// A vertex may come back after a gap (st can leave its star and
+	// re-enter), so the dedupe is exact. seen hashes every chain vertex to
+	// one of 8192 bits on the stack: a clear bit proves v is new, and only a
+	// set bit scans the chain, from the tail, where a repeat (one of the two
+	// vertices a triangle shares with the previous one) almost always sits.
+	var seen [128]uint64
 	appendSide := func(chain []NodeID, v NodeID) []NodeID {
-		for _, u := range chain {
-			if u == v {
-				return chain
+		h := uint32(v) * 2654435761 >> 19
+		if seen[h>>6]&(1<<(h&63)) != 0 {
+			for i := len(chain) - 1; i >= 0; i-- {
+				if chain[i] == v {
+					return chain
+				}
 			}
 		}
+		seen[h>>6] |= 1 << (h & 63)
 		return append(chain, v)
 	}
 	for _, fi := range prefix {

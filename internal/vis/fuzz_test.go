@@ -184,7 +184,8 @@ func fuzzPoint(b []byte) geom.Point {
 // decodeDomain reads records until the data runs out, up to 8 obstacles
 // with 40 corners in all, and 8 queries. A record's tag byte mod 3 selects
 // its kind: 0 is an axis-aligned box (a corner point and a size byte giving
-// sides of 0.25 to 1), 1 a polygon of 3 + tag/3 mod 14 points, 2 a query
+// sides of 0.25 to 1), 1 a polygon of 3 + tag/3 mod 14 points, replaced by
+// geom.ConvexHull of those points when the tag's top bit is set, 2 a query
 // (two points).
 func decodeDomain(data []byte) (obstacles [][]geom.Point, queries [][2]geom.Point) {
 	corners := 0
@@ -213,6 +214,9 @@ func decodeDomain(data []byte) (obstacles [][]geom.Point, queries [][2]geom.Poin
 			for k := range poly {
 				poly[k] = fuzzPoint(data[i+4*k:])
 			}
+			if tag >= 128 {
+				poly = geom.ConvexHull(poly)
+			}
 			obstacles = append(obstacles, poly)
 			i += 4 * c
 		default:
@@ -226,11 +230,13 @@ func decodeDomain(data []byte) (obstacles [][]geom.Point, queries [][2]geom.Poin
 	return
 }
 
-// FuzzDomainVisible requires the box-culled Domain and Overlay to answer
+// FuzzDomainVisible requires the culled Domain and Overlay (obstacle boxes
+// and the separating-edge certificate of convex obstacles) to answer
 // exactly as the unculled reference: Visible between every pair of corners
 // and query endpoints, PointInObstacle at each of them and at every query
-// midpoint, the overlay's edge set, and both ShortestPaths (points and
-// length, compared with ==) for every query.
+// midpoint, the overlay's edges in order, both ShortestPaths (points and
+// length, compared with ==) for every query, and ShortestPathsFrom each
+// query's source to every query endpoint.
 func FuzzDomainVisible(f *testing.F) {
 	f.Add([]byte{0, 4, 4, 0, 0, 5, 2, 0, 5, 0, 0, 16, 5, 0, 0}) // a box and a query through it
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -250,14 +256,11 @@ func FuzzDomainVisible(f *testing.F) {
 				}
 			}
 		}
-		// Triangulate's edge order varies from run to run (it ranges over a
-		// map), so the overlay's edges are compared as sets and the reference
-		// plans over the overlay's own adjacency.
+		// Triangulate is deterministic, so the overlay's adjacency must equal
+		// the reference's in order too: it decides equal-distance ties.
 		o := NewOverlay(obstacles)
-		got, want := o.Edges(), (&Overlay{adj: ref.overlayAdj()}).Edges()
-		slices.SortFunc(got, cmpEdge)
-		slices.SortFunc(want, cmpEdge)
-		if !slices.Equal(got, want) {
+		refAdj := ref.overlayAdj()
+		if got, want := o.Edges(), (&Overlay{adj: refAdj}).Edges(); !slices.Equal(got, want) {
 			t.Fatalf("overlay edges %v, reference %v", got, want)
 		}
 		type planner func(s, t geom.Point) ([]geom.Point, float64, bool)
@@ -269,7 +272,7 @@ func FuzzDomainVisible(f *testing.F) {
 				return ref.shortestPath(ref.cornerAdj, s, t)
 			}},
 			{"Overlay", o.ShortestPath, func(s, t geom.Point) ([]geom.Point, float64, bool) {
-				return ref.shortestPath(o.adj, s, t)
+				return ref.shortestPath(refAdj, s, t)
 			}},
 		} {
 			for _, q := range queries {
@@ -281,12 +284,18 @@ func FuzzDomainVisible(f *testing.F) {
 				}
 			}
 		}
+		var targets []geom.Point
+		for _, q := range queries {
+			targets = append(targets, q[0], q[1])
+		}
+		for _, q := range queries {
+			for k, p := range d.ShortestPathsFrom(q[0], targets) {
+				wantPath, wantLen, wantOK := ref.shortestPath(ref.cornerAdj, q[0], targets[k])
+				if p.OK != wantOK || p.Length != wantLen || !slices.Equal(p.Points, wantPath) {
+					t.Fatalf("ShortestPathsFrom(%v) to %v = %v %v %v, reference %v %v %v",
+						q[0], targets[k], p.Points, p.Length, p.OK, wantPath, wantLen, wantOK)
+				}
+			}
+		}
 	})
-}
-
-func cmpEdge(a, b [2]int) int {
-	if a[0] != b[0] {
-		return a[0] - b[0]
-	}
-	return a[1] - b[1]
 }

@@ -10,6 +10,7 @@ package vis
 
 import (
 	"math"
+	"slices"
 
 	"hybridroute/internal/delaunay"
 	"hybridroute/internal/geom"
@@ -22,7 +23,10 @@ type Domain struct {
 	// boxes[k] bounds obstacles[k]. A segment whose box is disjoint from it,
 	// or a point outside it, cannot meet the obstacle's interior, so the
 	// polygon test is skipped.
-	boxes   []geom.Box
+	boxes []geom.Box
+	// turns[k] is the turn sign of obstacles[k] when it is a strictly convex
+	// simple polygon, and Collinear otherwise (see separated).
+	turns   []geom.Orientation
 	corners []geom.Point
 	// cornerAdj[i] lists the corners visible from corner i, in increasing
 	// order; the relation is symmetric.
@@ -32,9 +36,14 @@ type Domain struct {
 // NewDomain builds the visibility structure over the given obstacle
 // polygons (each a vertex cycle, any orientation).
 func NewDomain(obstacles [][]geom.Point) *Domain {
-	d := &Domain{obstacles: obstacles, boxes: make([]geom.Box, len(obstacles))}
+	d := &Domain{
+		obstacles: obstacles,
+		boxes:     make([]geom.Box, len(obstacles)),
+		turns:     make([]geom.Orientation, len(obstacles)),
+	}
 	for k, poly := range obstacles {
 		d.boxes[k] = geom.BoundingBox(poly)
+		d.turns[k] = convexTurn(poly)
 		d.corners = append(d.corners, poly...)
 	}
 	n := len(d.corners)
@@ -67,15 +76,74 @@ func (d *Domain) CornerEdges() int {
 	return total / 2
 }
 
+// convexTurn returns the turn sign of poly when it is a strictly convex
+// simple polygon, decided exactly: poly equals geom.ConvexHull of its points
+// as a cyclic sequence, in either orientation. Otherwise (a reflex or
+// straight corner, a repeated point, a self-crossing star) it returns
+// Collinear.
+func convexTurn(poly []geom.Point) geom.Orientation {
+	hull := geom.ConvexHull(poly)
+	n := len(hull)
+	if n < 3 || n != len(poly) {
+		return geom.Collinear
+	}
+	i := slices.Index(hull, poly[0])
+	if i < 0 {
+		return geom.Collinear
+	}
+	ccw, cw := true, true
+	for k, p := range poly {
+		ccw = ccw && p == hull[(i+k)%n]
+		cw = cw && p == hull[(i-k+n)%n]
+	}
+	switch {
+	case ccw:
+		return geom.CounterClockwise
+	case cw:
+		return geom.Clockwise
+	}
+	return geom.Collinear
+}
+
+// separated reports whether an edge line of obstacle k has a and b on its
+// closed outer side, which certifies that the obstacle cannot block ab. Only
+// strictly convex obstacles have such certificates. The segment then lies in
+// the closed outer half-plane and the obstacle in the closed inner one, and
+// they share only the edge's line, which no other edge meets in its
+// interior, so no edge is properly crossed. A sample point of ab can stray
+// into the inner half-plane only by Lerp's rounding; a point of the obstacle
+// that close to the edge's line is as close to its boundary, far inside the
+// 1e-9 tolerance of PointStrictlyInSimple for coordinates below ~1e6. So
+// geom.SegmentIntersectsPolygon would answer false.
+func (d *Domain) separated(k int, a, b geom.Point) bool {
+	turn := d.turns[k]
+	if turn == geom.Collinear {
+		return false
+	}
+	poly := d.obstacles[k]
+	p := poly[len(poly)-1]
+	for _, q := range poly {
+		if geom.Orient(p, q, a) != turn && geom.Orient(p, q, b) != turn {
+			return true
+		}
+		p = q
+	}
+	return false
+}
+
 // Visible reports whether the open segment ab avoids every obstacle
 // interior: the segment may touch boundaries and run along obstacle edges,
 // but may not properly cross an edge or pass through an interior. Only
-// obstacles whose box meets the segment's box are tested.
+// obstacles whose box meets the segment's box, and which no edge line
+// separates from it, are tested.
 func (d *Domain) Visible(a, b geom.Point) bool {
 	s := geom.Seg(a, b)
 	sb := s.Box()
 	for k, poly := range d.obstacles {
-		if !sb.Disjoint(d.boxes[k]) && geom.SegmentIntersectsPolygon(s, poly) {
+		if sb.Disjoint(d.boxes[k]) || d.separated(k, a, b) {
+			continue
+		}
+		if geom.SegmentIntersectsPolygon(s, poly) {
 			return false
 		}
 	}
@@ -100,6 +168,40 @@ func (d *Domain) ShortestPath(s, t geom.Point) ([]geom.Point, float64, bool) {
 	return d.plan(d.cornerAdj, s, t)
 }
 
+// Path is one target's answer from ShortestPathsFrom: ShortestPath's three
+// results.
+type Path struct {
+	Points []geom.Point
+	Length float64
+	OK     bool
+}
+
+// ShortestPathsFrom returns ShortestPath(s, t) for every t in ts, in order.
+// The corners s sees are found once, when the first target that s does not
+// see directly needs them, and shared by the later targets; each target
+// then runs exactly the search ShortestPath would.
+func (d *Domain) ShortestPathsFrom(s geom.Point, ts []geom.Point) []Path {
+	out := make([]Path, len(ts))
+	if d.PointInObstacle(s) {
+		return out
+	}
+	sr := search{d: d, adj: d.cornerAdj, s: s}
+	for k, t := range ts {
+		out[k].Points, out[k].Length, out[k].OK = sr.to(t)
+	}
+	return out
+}
+
+// plan is ShortestPath over the corner graph adj, which is only read, so
+// callers share it.
+func (d *Domain) plan(adj [][]int, s, t geom.Point) ([]geom.Point, float64, bool) {
+	if d.PointInObstacle(s) {
+		return nil, 0, false
+	}
+	sr := search{d: d, adj: adj, s: s}
+	return sr.to(t)
+}
+
 // planNode is one node of a plan's search: a corner, s or t.
 type planNode struct {
 	dist         float64
@@ -107,13 +209,23 @@ type planNode struct {
 	seesS, seesT bool // a corner visible from s or from t
 }
 
-// plan runs Euclidean Dijkstra from s to t over the corner graph adj,
-// entering from s at every corner it sees and leaving for t from every
-// corner that sees t. Node n is s and n+1 is t; s's neighbours are the
-// corners it sees in index order, and t is the last neighbour of each
-// corner that sees it. adj is only read, so callers share it.
-func (d *Domain) plan(adj [][]int, s, t geom.Point) ([]geom.Point, float64, bool) {
-	if d.PointInObstacle(s) || d.PointInObstacle(t) {
+// search plans from one source s, outside every obstacle, over the corner
+// graph adj. nodes is nil until a target first needs the corners s sees.
+type search struct {
+	d     *Domain
+	adj   [][]int
+	s     geom.Point
+	nodes []planNode
+	pq    visHeap
+}
+
+// to runs Euclidean Dijkstra from s to t, entering from s at every corner it
+// sees and leaving for t from every corner that sees t. Node n is s and n+1
+// is t; s's neighbours are the corners it sees in index order, and t is the
+// last neighbour of each corner that sees it.
+func (sr *search) to(t geom.Point) ([]geom.Point, float64, bool) {
+	d, s := sr.d, sr.s
+	if d.PointInObstacle(t) {
 		return nil, 0, false
 	}
 	if d.Visible(s, t) {
@@ -121,12 +233,18 @@ func (d *Domain) plan(adj [][]int, s, t geom.Point) ([]geom.Point, float64, bool
 	}
 	n := len(d.corners)
 	src, dst := n, n+1
-	nodes := make([]planNode, n+2)
+	if sr.nodes == nil {
+		sr.nodes = make([]planNode, n+2)
+		sr.pq = make(visHeap, 0, n+2)
+		for i, c := range d.corners {
+			sr.nodes[i].seesS = d.Visible(s, c)
+		}
+	}
+	nodes := sr.nodes
 	for i := range nodes {
-		nodes[i] = planNode{dist: math.Inf(1), prev: -1}
+		nodes[i].dist, nodes[i].prev = math.Inf(1), -1
 	}
 	for i, c := range d.corners {
-		nodes[i].seesS = d.Visible(s, c)
 		nodes[i].seesT = d.Visible(t, c)
 	}
 	pos := func(i int) geom.Point {
@@ -140,7 +258,7 @@ func (d *Domain) plan(adj [][]int, s, t geom.Point) ([]geom.Point, float64, bool
 		}
 	}
 	nodes[src].dist = 0
-	pq := append(make(visHeap, 0, n+2), visItem{src, 0})
+	pq := append(sr.pq[:0], visItem{src, 0})
 	relax := func(v, w int, dv float64, pv geom.Point) {
 		if nd := dv + pv.Dist(pos(w)); nd < nodes[w].dist {
 			nodes[w].dist = nd
@@ -165,13 +283,14 @@ func (d *Domain) plan(adj [][]int, s, t geom.Point) ([]geom.Point, float64, bool
 			}
 			continue
 		}
-		for _, w := range adj[it.v] {
+		for _, w := range sr.adj[it.v] {
 			relax(it.v, w, it.d, pv)
 		}
 		if nodes[it.v].seesT {
 			relax(it.v, dst, it.d, pv)
 		}
 	}
+	sr.pq = pq
 	if math.IsInf(nodes[dst].dist, 1) {
 		return nil, 0, false
 	}

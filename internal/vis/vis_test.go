@@ -237,3 +237,42 @@ func TestAdjacentBoundaryVerticesVisible(t *testing.T) {
 		t.Fatalf("corner graph too sparse: %d edges for %d corners", d.CornerEdges(), n)
 	}
 }
+
+// TestConvexTurn pins which obstacles get the separating-edge certificate:
+// strictly convex simple polygons in either orientation, and nothing with a
+// straight or reflex corner, a repeated point or a self-crossing boundary.
+func TestConvexTurn(t *testing.T) {
+	sq := square(0, 0, 1)
+	rev := []geom.Point{sq[0], sq[3], sq[2], sq[1]}
+	pentagram := []geom.Point{
+		geom.Pt(4, 6), geom.Pt(2.75, 2.5), geom.Pt(6, 4.5), geom.Pt(2, 4.5), geom.Pt(5.25, 2.5),
+	}
+	cases := []struct {
+		name string
+		poly []geom.Point
+		want geom.Orientation
+	}{
+		{"ccw square", sq, geom.CounterClockwise},
+		{"ccw square rotated", append(sq[2:], sq[:2]...), geom.CounterClockwise},
+		{"cw square", rev, geom.Clockwise},
+		{"straight corner", []geom.Point{sq[0], geom.Pt(0, -1), sq[1], sq[2], sq[3]}, geom.Collinear},
+		{"reflex corner", []geom.Point{sq[0], geom.Pt(0, -0.5), sq[1], sq[2], sq[3]}, geom.Collinear},
+		{"repeated point", []geom.Point{sq[0], sq[1], sq[1], sq[2], sq[3]}, geom.Collinear},
+		{"crossed square", []geom.Point{sq[0], sq[2], sq[1], sq[3]}, geom.Collinear},
+		{"pentagram", pentagram, geom.Collinear},
+		{"segment", sq[:2], geom.Collinear},
+	}
+	for _, c := range cases {
+		if got := convexTurn(c.poly); got != c.want {
+			t.Errorf("%s: convexTurn = %v, want %v", c.name, got, c.want)
+		}
+	}
+	// The pentagram turns the same way at every corner: only the hull
+	// comparison tells it from a convex pentagon.
+	n := len(pentagram)
+	for i := range pentagram {
+		if o := geom.Orient(pentagram[i], pentagram[(i+1)%n], pentagram[(i+2)%n]); o != geom.Orient(pentagram[0], pentagram[1], pentagram[2]) {
+			t.Fatalf("pentagram turn %d is %v", i, o)
+		}
+	}
+}
