@@ -1,8 +1,13 @@
-# Tier-1 verification (referenced from ROADMAP.md): vet + build + full test
-# suite + a race-detector pass over the packages with concurrent query paths.
-.PHONY: tier1 vet build test race fuzz bench bench-scale bench-serve ci
+# Tier-1 verification (referenced from ROADMAP.md): gofmt check + vet + build
+# + full test suite + a race-detector pass over the packages with concurrent
+# query paths.
+.PHONY: tier1 fmt vet build test race fuzz bench bench-scale bench-serve ci
 
-tier1: vet build test race
+tier1: fmt vet build test race
+
+# Fail when any Go file is not gofmt-clean, listing the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; fi
 
 vet:
 	go vet ./...

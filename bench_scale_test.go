@@ -7,11 +7,15 @@
 //	BenchmarkScale/n=1e4/cold    ns/op = one uncached Network.Route query
 //	BenchmarkScale/n=1e4/warm    ns/op = one warm-cache Engine query, queries/sec
 //
-// The obstacle geometry is FIXED-size (two polygons near the center), so hole
-// boundaries stay O(1) as n grows and the sweep isolates how the flat-arena
-// structures scale with node count. The n=10⁵/10⁶ legs take minutes to build
-// and are gated behind HYBRIDROUTE_SCALE=1 (`make bench-scale`); the 10⁴ leg
-// always runs so every `make bench` keeps at least one scale row fresh.
+// The obstacle geometry is FIXED-size (two polygons near the center). Each
+// size runs on two layouts of the same grid: bordered (n=1e4), whose hole
+// boundaries stay O(1) as n grows so the sweep isolates how the flat-arena
+// structures scale with node count, and jittered (n=1e4-jittered), whose
+// boundary adds Θ(√n) sliver holes and so prices the hole-dependent layers
+// (hole detection, abstraction, overlay) as they grow. The n=10⁵/10⁶ legs
+// take minutes to build and are gated behind HYBRIDROUTE_SCALE=1
+// (`make bench-scale`); the 10⁴ legs always run so every `make bench` keeps
+// scale rows fresh.
 // Run with -benchtime=1x: one build per leg is the intended measurement.
 package hybridroute_test
 
@@ -30,20 +34,25 @@ import (
 )
 
 // scaleSizes: side is an exact multiple of the 0.55 grid spacing chosen so
-// the bordered grid holds ~n points ((side/0.55+1)² minus the constant
-// obstacle interior). The bordered variant keeps the convex hull on the grid
-// boundary, so the hole count stays fixed across the sweep (a jittered
-// boundary sprouts Θ(√n) sliver holes behind hull bridges, which would make
-// the visibility-domain build, cubic in hole corners, dominate every build
-// time).
+// the grid holds ~n points ((side/0.55+1)² minus the constant obstacle
+// interior). The bordered variant keeps the convex hull on the grid
+// boundary, so the hole count stays fixed across the sweep. A jittered
+// boundary sprouts Θ(√n) sliver holes behind hull bridges; the build pays
+// for their abstraction and overlay, but not for the Section-3 visibility
+// domain (cubic in hole corners), which only RouteVisibility builds, on
+// first use.
 var scaleSizes = []struct {
-	name  string
-	side  float64
-	gated bool // needs HYBRIDROUTE_SCALE=1
+	name     string
+	side     float64
+	jittered bool // workload.JitteredGrid instead of BorderedGrid
+	gated    bool // needs HYBRIDROUTE_SCALE=1
 }{
-	{"n=1e4", 54.45, false},  // 100×100
-	{"n=1e5", 173.25, true},  // 316×316
-	{"n=1e6", 549.45, true},  // 1000×1000
+	{"n=1e4", 54.45, false, false},         // 100×100
+	{"n=1e4-jittered", 54.45, true, false}, // 100×100
+	{"n=1e5", 173.25, false, true},         // 316×316
+	{"n=1e5-jittered", 173.25, true, true}, // 316×316
+	{"n=1e6", 549.45, false, true},         // 1000×1000
+	{"n=1e6-jittered", 549.45, true, true}, // 1000×1000
 }
 
 var benchScaleState struct {
@@ -54,7 +63,7 @@ var benchScaleState struct {
 
 // benchScaleGraph builds (once per size) the deployment graph shared by the
 // build/cold/warm legs.
-func benchScaleGraph(b testing.TB, name string, side float64) *udg.Graph {
+func benchScaleGraph(b testing.TB, name string, side float64, jittered bool) *udg.Graph {
 	b.Helper()
 	s := &benchScaleState
 	s.mu.Lock()
@@ -71,7 +80,11 @@ func benchScaleGraph(b testing.TB, name string, side float64) *udg.Graph {
 		workload.StarPolygon(geom.Pt(c, c+0.2), 1.6, 0.7, 5, 0.3),
 		workload.RegularPolygon(geom.Pt(c+4.4, c+3.6), 1.3, 6, 0.2),
 	}
-	sc, err := workload.BorderedGrid(0.55, side, side, 1, obstacles)
+	grid := workload.BorderedGrid
+	if jittered {
+		grid = workload.JitteredGrid
+	}
+	sc, err := grid(0.55, side, side, 1, obstacles)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -133,7 +146,7 @@ func BenchmarkScale(b *testing.B) {
 			if sz.gated && os.Getenv("HYBRIDROUTE_SCALE") == "" {
 				b.Skip("set HYBRIDROUTE_SCALE=1 (make bench-scale) for the full series")
 			}
-			g := benchScaleGraph(b, sz.name, sz.side)
+			g := benchScaleGraph(b, sz.name, sz.side, sz.jittered)
 
 			b.Run("build", func(b *testing.B) {
 				before := heapBytes()

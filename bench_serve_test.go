@@ -40,7 +40,7 @@ func benchServeNetwork(b *testing.B) *core.Network {
 	b.Helper()
 	s := &benchServeState
 	s.once.Do(func() {
-		g := benchScaleGraph(b, "serve", 27.5) // 51×51 grid ≈ 2.5k nodes
+		g := benchScaleGraph(b, "serve", 27.5, false) // 51×51 grid ≈ 2.5k nodes
 		s.nw, s.err = core.PreprocessStatic(g, core.Config{})
 	})
 	if s.err != nil {

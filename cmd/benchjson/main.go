@@ -33,8 +33,11 @@ import (
 
 // benchResult is one parsed benchmark line. Custom carries b.ReportMetric
 // units the standard schema has no field for (bytes/node, queries/sec, …).
+// CPU is set by -merge, which folds rows from several runs into one
+// document: each row keeps the CPU it was measured on.
 type benchResult struct {
 	Name        string             `json:"name"`
+	CPU         string             `json:"cpu,omitempty"`
 	Procs       int                `json:"procs"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
@@ -43,7 +46,8 @@ type benchResult struct {
 	Custom      map[string]float64 `json:"custom,omitempty"`
 }
 
-// benchFile is the JSON document: run environment plus every benchmark line,
+// benchFile is the JSON document: run environment (of the latest run, when
+// -merge folded in earlier ones) plus every benchmark line,
 // derived cross-benchmark ratios, optionally the trace-metrics block embedded
 // via -metrics, and optionally the cluster-wide rollup built via -instances.
 type benchFile struct {
@@ -193,8 +197,12 @@ func convert(r io.Reader, echo io.Writer, metricsJSON []byte) (benchFile, error)
 // mergePrior folds the benchmarks of a previous output document (typically
 // the -o target of an earlier run) under the current one: prior lines are
 // kept unless the current run re-measured the same benchmark, and the derived
-// ratios are recomputed over the merged set. A missing or empty prior file is
-// a first run and merges to nothing — it must never fail or taint the output.
+// ratios are recomputed over the merged set. Every merged row carries its
+// own CPU label — a prior row without one takes the prior document's, a
+// fresh row the current run's — so the document-level cpu, which is the
+// current run's, never relabels earlier measurements. A missing or empty
+// prior file is a first run and merges to nothing — it must never fail or
+// taint the output.
 func mergePrior(doc *benchFile, path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -217,7 +225,15 @@ func mergePrior(doc *benchFile, path string) error {
 	merged := make([]benchResult, 0, len(prior.Benchmarks)+len(doc.Benchmarks))
 	for _, b := range prior.Benchmarks {
 		if !fresh[b.Name] {
+			if b.CPU == "" {
+				b.CPU = prior.CPU
+			}
 			merged = append(merged, b)
+		}
+	}
+	for i := range doc.Benchmarks {
+		if doc.Benchmarks[i].CPU == "" {
+			doc.Benchmarks[i].CPU = doc.CPU
 		}
 	}
 	doc.Benchmarks = append(merged, doc.Benchmarks...)

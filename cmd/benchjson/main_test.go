@@ -256,6 +256,47 @@ func TestMergePriorKeepsAndOverrides(t *testing.T) {
 	}
 }
 
+// TestMergePriorKeepsRowCPU merges documents measured on three CPUs, one
+// after another: every row keeps the CPU of the run that measured it, while
+// the document-level cpu names the latest run.
+func TestMergePriorKeepsRowCPU(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.json")
+	run := func(in string) benchFile {
+		t.Helper()
+		var echo bytes.Buffer
+		doc, err := convert(bytes.NewReader([]byte(in)), &echo, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mergePrior(&doc, path); err != nil {
+			t.Fatal(err)
+		}
+		buf, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	run("cpu: CPU A\nBenchmarkX-2 10 100 ns/op\nBenchmarkY-2 10 100 ns/op\n")
+	run("cpu: CPU B\nBenchmarkY-2 10 200 ns/op\nBenchmarkZ-2 10 200 ns/op\n")
+	doc := run("cpu: CPU C\nBenchmarkW-2 10 300 ns/op\n")
+	want := map[string]string{"BenchmarkX": "CPU A", "BenchmarkY": "CPU B", "BenchmarkZ": "CPU B", "BenchmarkW": "CPU C"}
+	if len(doc.Benchmarks) != len(want) {
+		t.Fatalf("merged %d rows, want %d: %+v", len(doc.Benchmarks), len(want), doc.Benchmarks)
+	}
+	for _, b := range doc.Benchmarks {
+		if b.CPU != want[b.Name] {
+			t.Errorf("%s: cpu %q, want %q", b.Name, b.CPU, want[b.Name])
+		}
+	}
+	if doc.CPU != "CPU C" {
+		t.Errorf("document cpu %q, want the latest run's", doc.CPU)
+	}
+}
+
 // TestClusterRollupGolden pins the cluster rollup schema: per-instance
 // registry snapshots (one bare, one -trace-wrapped) merged with counters
 // summed and gauges maxed, against testdata/cluster_rollup_golden.json.

@@ -4,8 +4,9 @@
 // firing in a round's serial preamble), the listener patches the routing
 // topology in place — the live LDel² drops the dead node's edges, holes are
 // re-detected with the untouched rings' derived geometry reused, and every
-// structure the query path reads (router, hull groups, overlay, visibility
-// domains, bays) is rebuilt against the patched graph. A membership change
+// structure the query path reads (router, hull groups, overlay, bays) is
+// rebuilt against the patched graph; the visibility domains are rebuilt on
+// the first query that reads them. A membership change
 // whose neighborhood touches more than one existing hole falls back to a
 // full recomputation (no geometry reuse); when the last dead node recovers,
 // the pristine preprocessing-time topology is restored wholesale, so a
@@ -26,8 +27,6 @@
 package core
 
 import (
-	"sync"
-
 	"hybridroute/internal/abstraction"
 	"hybridroute/internal/delaunay"
 	"hybridroute/internal/geom"
@@ -49,17 +48,16 @@ type RepairStats struct {
 // baseTopo is the pristine preprocessing-time topology, kept aside so the
 // Network can restore it exactly once every crashed node has recovered.
 type baseTopo struct {
-	ldel            *delaunay.PlanarGraph
-	holes           *delaunay.HoleSet
-	router          *routing.Router
-	abs             abstraction.Abstraction
-	overlay         *vis.Overlay
-	visDomain       *vis.Domain
-	groups          []HullGroup
-	bays            []Bay
-	hullNodeOf      map[geom.Point]sim.NodeID
-	groupDomains    []*vis.Domain
-	groupDomainInit []sync.Once
+	ldel         *delaunay.PlanarGraph
+	holes        *delaunay.HoleSet
+	router       *routing.Router
+	abs          abstraction.Abstraction
+	overlay      *vis.Overlay
+	visDomain    *lazyDomain
+	groups       []HullGroup
+	bays         []Bay
+	hullNodeOf   map[geom.Point]sim.NodeID
+	groupDomains []lazyDomain
 }
 
 // enableChurnRepair snapshots the pristine topology, builds the liveness
@@ -68,17 +66,16 @@ type baseTopo struct {
 // nothing (the snapshot shares every structure with the live fields).
 func (nw *Network) enableChurnRepair() {
 	nw.base = &baseTopo{
-		ldel:            nw.LDel,
-		holes:           nw.Holes,
-		router:          nw.Router,
-		abs:             nw.Abs,
-		overlay:         nw.Overlay,
-		visDomain:       nw.VisDomain,
-		groups:          nw.Groups,
-		bays:            nw.Bays,
-		hullNodeOf:      nw.hullNodeOf,
-		groupDomains:    nw.groupDomains,
-		groupDomainInit: nw.groupDomainInit,
+		ldel:         nw.LDel,
+		holes:        nw.Holes,
+		router:       nw.Router,
+		abs:          nw.Abs,
+		overlay:      nw.Overlay,
+		visDomain:    nw.visDomain,
+		groups:       nw.Groups,
+		bays:         nw.Bays,
+		hullNodeOf:   nw.hullNodeOf,
+		groupDomains: nw.groupDomains,
 	}
 	nw.dead = make(map[sim.NodeID]bool)
 	nw.Live = NewLiveness(nw.G.N())
@@ -118,10 +115,9 @@ func (nw *Network) repairTopology(v sim.NodeID, up bool) {
 	if len(nw.dead) == 0 {
 		b := nw.base
 		nw.LDel, nw.Holes, nw.Router = b.ldel, b.holes, b.router
-		nw.Abs, nw.Overlay, nw.VisDomain = b.abs, b.overlay, b.visDomain
+		nw.Abs, nw.Overlay, nw.visDomain = b.abs, b.overlay, b.visDomain
 		nw.Groups, nw.Bays = b.groups, b.bays
-		nw.hullNodeOf = b.hullNodeOf
-		nw.groupDomains, nw.groupDomainInit = b.groupDomains, b.groupDomainInit
+		nw.hullNodeOf, nw.groupDomains = b.hullNodeOf, b.groupDomains
 		nw.repairs.Restores++
 		if nw.tracer != nil {
 			nw.tracer.Emit(trace.Event{Kind: trace.KindRepair, Round: nw.Sim.Rounds(), From: int(v), Plan: "restore", Value: len(nw.Holes.Holes)})
@@ -160,7 +156,12 @@ func (nw *Network) repairTopology(v sim.NodeID, up bool) {
 	nw.LDel = live
 	nw.Holes = holes
 	nw.Router = routing.New(live)
-	nw.rebuildDerived()
+	// The backend name was validated at preprocessing time, so rebuilding
+	// with it cannot fail. Bay.DS (phase L) intentionally stays nil: it is
+	// never read on the query path.
+	if err := nw.buildDerived(nw.Report.Abstraction); err != nil {
+		panic("core: repair: " + err.Error())
+	}
 
 	plan := "full"
 	if incremental {
@@ -173,32 +174,4 @@ func (nw *Network) repairTopology(v sim.NodeID, up bool) {
 	if nw.tracer != nil {
 		nw.tracer.Emit(trace.Event{Kind: trace.KindRepair, Round: nw.Sim.Rounds(), From: int(v), Plan: plan, Value: len(holes.Holes)})
 	}
-}
-
-// rebuildDerived reconstructs every query-path structure downstream of
-// (LDel, Holes): the hole abstraction (same backend the network was
-// preprocessed with), its group and overlay views, visibility domains,
-// hull-node index and bay areas. Mirrors the tail of preprocess.
-func (nw *Network) rebuildDerived() {
-	// The backend name was validated at preprocessing time, so rebuilding
-	// with it cannot fail.
-	if err := nw.buildAbstraction(nw.Report.Abstraction); err != nil {
-		panic("core: rebuildDerived: " + err.Error())
-	}
-	var boundaries [][]geom.Point
-	for _, h := range nw.Holes.Holes {
-		boundaries = append(boundaries, h.Polygon)
-	}
-	nw.VisDomain = vis.NewDomain(boundaries)
-	nw.hullNodeOf = make(map[geom.Point]sim.NodeID)
-	for _, h := range nw.Holes.Holes {
-		for _, u := range h.HullNodes {
-			nw.hullNodeOf[nw.G.Point(u)] = u
-		}
-	}
-	nw.groupDomains = make([]*vis.Domain, len(nw.Groups))
-	nw.groupDomainInit = make([]sync.Once, len(nw.Groups))
-	nw.Bays = nil
-	nw.buildBays()
-	// Bay.DS (phase L) intentionally stays nil: never read on the query path.
 }

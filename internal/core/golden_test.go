@@ -110,7 +110,7 @@ func TestObstacleRoutesByteIdentical(t *testing.T) {
 		want  string
 	}{
 		{"RouteVisibility", nw.RouteVisibility, "2de868a574de7d9b"},
-		{"RouteWithObstacles", func(s, t sim.NodeID) Outcome { return nw.RouteWithObstacles(s, t, nw.VisDomain) }, "2de868a574de7d9b"},
+		{"RouteWithObstacles", func(s, t sim.NodeID) Outcome { return nw.RouteWithObstacles(s, t, nw.VisibilityDomain()) }, "2de868a574de7d9b"},
 		{"RouteWithOverlay", func(s, t sim.NodeID) Outcome { return nw.RouteWithOverlay(s, t, nw.Overlay) }, "b3a06cdfb6378899"},
 	}
 	for _, c := range cases {

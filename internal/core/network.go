@@ -130,10 +130,9 @@ type Network struct {
 	Abs abstraction.Abstraction
 
 	// Overlay is the waypoint overlay of the abstraction's region corners
-	// (what every hull node stores after phase K); VisDomain is the
-	// Section-3 variant over full hole boundary polygons.
-	Overlay   *vis.Overlay
-	VisDomain *vis.Domain
+	// (what every hull node stores after phase K). The Section-3 variant over
+	// full hole boundary polygons is VisibilityDomain, built on first use.
+	Overlay *vis.Overlay
 
 	Rings  map[int]map[sim.NodeID]*hyper.RingResult
 	Bays   []Bay
@@ -160,14 +159,15 @@ type Network struct {
 
 	hullNodeOf map[geom.Point]sim.NodeID
 	nodeAtPt   map[geom.Point]sim.NodeID
-	// groupDomains are built lazily but init-once (guarded by groupDomainInit)
-	// so concurrent queries — the batch Engine fires Route from many
-	// goroutines — see exactly one construction per group. Everything else a
-	// query touches is immutable after Preprocess returns.
-	groupDomains    []*vis.Domain
-	groupDomainInit []sync.Once
-	ringSnapshot    map[string]ringEpochInfo
-	reusedHoles     map[int]bool // holes whose ring results were carried over
+	// visDomain (every hole polygon, read only by RouteVisibility) and
+	// groupDomains (one per hull group) are built lazily but exactly once, so
+	// concurrent queries — the batch Engine fires Route from many goroutines —
+	// see one construction each. Everything else a query touches is immutable
+	// after Preprocess returns.
+	visDomain    *lazyDomain
+	groupDomains []lazyDomain
+	ringSnapshot map[string]ringEpochInfo
+	reusedHoles  map[int]bool // holes whose ring results were carried over
 
 	// Churn-repair state (churn.go): the pristine preprocessing-time topology,
 	// the currently dead nodes, the monotone repair generation plan caches key
@@ -194,10 +194,27 @@ func (nw *Network) nodeAt(p geom.Point) (sim.NodeID, bool) {
 	return v, ok
 }
 
-// buildAbstraction constructs the configured hole abstraction backend over
-// the current hole set and projects its regions into the Groups and Overlay
-// views the query path reads.
-func (nw *Network) buildAbstraction(name string) error {
+// lazyDomain is a visibility domain over polys, built on first use, exactly
+// once and race-free.
+type lazyDomain struct {
+	once  sync.Once
+	polys [][]geom.Point
+	d     *vis.Domain
+}
+
+func (l *lazyDomain) get() *vis.Domain {
+	l.once.Do(func() { l.d = vis.NewDomain(l.polys) })
+	return l.d
+}
+
+// buildDerived builds every query-path structure downstream of (LDel, Holes):
+// the named hole abstraction backend with the Groups and Overlay views the
+// query path reads, the hull-node index, the lazy Section-3 and group
+// visibility domains (nothing is built until a query reads them) and the bay
+// areas. Preprocess, PreprocessStatic and churn repair all end with it. The
+// node-at-point index depends only on G, so it is built on the first call
+// and kept.
+func (nw *Network) buildDerived(name string) error {
 	abs, err := abstraction.New(name, nw.Holes)
 	if err != nil {
 		return err
@@ -209,23 +226,43 @@ func (nw *Network) buildAbstraction(name string) error {
 	}
 	nw.Overlay = abs.Overlay()
 	nw.Report.Abstraction = abs.Name()
+
+	var polys [][]geom.Point
+	nw.hullNodeOf = make(map[geom.Point]sim.NodeID)
+	for _, h := range nw.Holes.Holes {
+		polys = append(polys, h.Polygon)
+		for _, v := range h.HullNodes {
+			nw.hullNodeOf[nw.G.Point(v)] = v
+		}
+	}
+	nw.visDomain = &lazyDomain{polys: polys}
+	nw.groupDomains = make([]lazyDomain, len(nw.Groups))
+	for gi, g := range nw.Groups {
+		for _, hi := range g.Holes {
+			nw.groupDomains[gi].polys = append(nw.groupDomains[gi].polys, polys[hi])
+		}
+	}
+	if nw.nodeAtPt == nil {
+		nw.nodeAtPt = make(map[geom.Point]sim.NodeID, nw.G.N())
+		for v := 0; v < nw.G.N(); v++ {
+			nw.nodeAtPt[nw.G.Point(sim.NodeID(v))] = sim.NodeID(v)
+		}
+	}
+	nw.Bays = nil
+	nw.buildBays()
 	return nil
 }
 
-// groupDomain returns (building lazily, exactly once, race-free) the
-// visibility domain over the member hole boundary polygons of group gi, used
-// for geodesics inside the group's merged hull (bay areas and inter-hole
-// corridors).
-func (nw *Network) groupDomain(gi int) *vis.Domain {
-	nw.groupDomainInit[gi].Do(func() {
-		var polys [][]geom.Point
-		for _, hi := range nw.Groups[gi].Holes {
-			polys = append(polys, nw.Holes.Holes[hi].Polygon)
-		}
-		nw.groupDomains[gi] = vis.NewDomain(polys)
-	})
-	return nw.groupDomains[gi]
-}
+// VisibilityDomain returns the Section-3 visibility domain over every hole
+// boundary polygon, the obstacles of RouteVisibility. Its corner graph costs
+// O(C²) visibility tests over C hole corners, so it is built on the first
+// call, exactly once per topology; no build or churn repair pays for it.
+func (nw *Network) VisibilityDomain() *vis.Domain { return nw.visDomain.get() }
+
+// groupDomain returns the visibility domain over the member hole boundary
+// polygons of group gi, used for geodesics inside the group's merged hull
+// (bay areas and inter-hole corridors).
+func (nw *Network) groupDomain(gi int) *vis.Domain { return nw.groupDomains[gi].get() }
 
 // groupAt returns the index of the group whose merged hull strictly
 // contains p, or -1.
@@ -329,31 +366,13 @@ func preprocess(g *udg.Graph, cfg Config, tree *overlaytree.Tree, prev *Network)
 
 	// Build the configured hole abstraction (merging intersecting abstracted
 	// shapes into disjoint regions — singletons whenever the paper's
-	// disjointness assumption holds) and the routing structures every hull
-	// node now possesses.
-	if err := nw.buildAbstraction(cfg.Abstraction); err != nil {
+	// disjointness assumption holds), the routing structures every hull node
+	// now possesses and the bay areas.
+	if err := nw.buildDerived(cfg.Abstraction); err != nil {
 		return nil, err
 	}
-	var boundaries [][]geom.Point
-	for _, h := range nw.Holes.Holes {
-		boundaries = append(boundaries, h.Polygon)
-	}
-	nw.VisDomain = vis.NewDomain(boundaries)
-	nw.hullNodeOf = make(map[geom.Point]sim.NodeID)
-	for _, h := range nw.Holes.Holes {
-		for _, v := range h.HullNodes {
-			nw.hullNodeOf[nw.G.Point(v)] = v
-		}
-	}
-	nw.nodeAtPt = make(map[geom.Point]sim.NodeID, g.N())
-	for v := 0; v < g.N(); v++ {
-		nw.nodeAtPt[g.Point(sim.NodeID(v))] = sim.NodeID(v)
-	}
-	nw.groupDomains = make([]*vis.Domain, len(nw.Groups))
-	nw.groupDomainInit = make([]sync.Once, len(nw.Groups))
 
-	// Phase L: bay areas and their dominating sets.
-	nw.buildBays()
+	// Phase L: dominating sets of the bay areas.
 	if !cfg.SkipDomSets {
 		if err := nw.runDomSetPhase(cfg.Seed); err != nil {
 			return nil, fmt.Errorf("core: dominating sets: %w", err)

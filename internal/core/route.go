@@ -107,7 +107,7 @@ func (nw *Network) Route(s, t sim.NodeID) Outcome {
 // nodes (larger storage, 17.7-competitive versus ≤ 35.37). The hole boundary
 // polygons are the obstacles, which subsumes all bay-area cases.
 func (nw *Network) RouteVisibility(s, t sim.NodeID) Outcome {
-	return nw.routePlanned(s, t, nw.VisDomain.ShortestPath)
+	return nw.routePlanned(s, t, nw.VisibilityDomain().ShortestPath)
 }
 
 func (nw *Network) route(src planSource, s, t sim.NodeID) Outcome {

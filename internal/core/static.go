@@ -6,8 +6,9 @@
 //
 //   - LDel² via the grid-accelerated LDel2Fast (provably equal to the
 //     distributed construction's output, both pinned by tests),
-//   - hole detection, the hole abstraction, visibility domains, bays and
-//     storage accounting exactly as Preprocess does,
+//   - hole detection, the derived state (buildDerived: abstraction, lazy
+//     visibility domains, bays) and storage accounting exactly as
+//     Preprocess does,
 //   - a synthetic balanced overlay tree in place of phase J (the query path
 //     never reads the tree; only storage accounting does),
 //
@@ -20,15 +21,11 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"hybridroute/internal/delaunay"
-	"hybridroute/internal/geom"
 	"hybridroute/internal/overlaytree"
 	"hybridroute/internal/routing"
-	"hybridroute/internal/sim"
 	"hybridroute/internal/udg"
-	"hybridroute/internal/vis"
 )
 
 // PreprocessStatic builds a query-ready Network without a simulator.
@@ -57,28 +54,9 @@ func PreprocessStatic(g *udg.Graph, cfg Config) (*Network, error) {
 	nw.Tree = overlaytree.Synthetic(g.N())
 	nw.Report.TreeHeight = nw.Tree.Height()
 
-	if err := nw.buildAbstraction(cfg.Abstraction); err != nil {
+	if err := nw.buildDerived(cfg.Abstraction); err != nil {
 		return nil, err
 	}
-	var boundaries [][]geom.Point
-	for _, h := range nw.Holes.Holes {
-		boundaries = append(boundaries, h.Polygon)
-	}
-	nw.VisDomain = vis.NewDomain(boundaries)
-	nw.hullNodeOf = make(map[geom.Point]sim.NodeID)
-	for _, h := range nw.Holes.Holes {
-		for _, v := range h.HullNodes {
-			nw.hullNodeOf[nw.G.Point(v)] = v
-		}
-	}
-	nw.nodeAtPt = make(map[geom.Point]sim.NodeID, g.N())
-	for v := 0; v < g.N(); v++ {
-		nw.nodeAtPt[g.Point(sim.NodeID(v))] = sim.NodeID(v)
-	}
-	nw.groupDomains = make([]*vis.Domain, len(nw.Groups))
-	nw.groupDomainInit = make([]sync.Once, len(nw.Groups))
-
-	nw.buildBays()
 	nw.accountStorage()
 	nw.enableChurnRepair()
 	return nw, nil

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"hybridroute/internal/geom"
+	"hybridroute/internal/mem"
 )
 
 // NodeID indexes a node in the point set. IDs are dense: 0..n-1.
@@ -123,7 +124,7 @@ func (g *Graph) ForNodesInBox(lo, hi geom.Point, fn func(NodeID)) {
 	ky1 := int(math.Floor(hi.Y / g.idx.cell))
 	for kx := kx0; kx <= kx1; kx++ {
 		for ky := ky0; ky <= ky1; ky++ {
-			for _, j := range g.idx.cells[[2]int{kx, ky}] {
+			for _, j := range g.idx.points([2]int{kx, ky}) {
 				fn(NodeID(j))
 			}
 		}
@@ -304,18 +305,58 @@ func (h *nodeHeap) Pop() interface{} {
 }
 
 // gridIndex buckets points into cells of side r so that all unit-disk
-// neighbours of a point lie in its 3x3 cell neighbourhood.
+// neighbours of a point lie in its 3x3 cell neighbourhood. Each cell is a row
+// of one CSR table listing its points in index order. The rows are the cells
+// of the points' bounding window, column by column (cell (kx, ky) is row
+// (kx-kx0)·h + ky-ky0), unless that window is much larger than the point
+// count (far-flung points); then only the occupied cells get rows, found
+// through the occupied map.
 type gridIndex struct {
-	cell  float64
-	cells map[[2]int][]int
+	cell     float64
+	kx0, ky0 int
+	w, h     int
+	occupied map[[2]int]int32 // nil for a dense window
+	cells    mem.CSR[int32]
 }
 
 func newGridIndex(pts []geom.Point, r float64) *gridIndex {
-	idx := &gridIndex{cell: r, cells: make(map[[2]int][]int, len(pts))}
-	for i, p := range pts {
-		k := idx.key(p)
-		idx.cells[k] = append(idx.cells[k], i)
+	idx := &gridIndex{cell: r}
+	if len(pts) == 0 {
+		return idx
 	}
+	lo := idx.key(pts[0])
+	hi := lo
+	for _, p := range pts[1:] {
+		k := idx.key(p)
+		lo[0], lo[1] = min(lo[0], k[0]), min(lo[1], k[1])
+		hi[0], hi[1] = max(hi[0], k[0]), max(hi[1], k[1])
+	}
+	// The window's size in float64, so far-flung keys cannot overflow it.
+	w := float64(hi[0]) - float64(lo[0]) + 1
+	h := float64(hi[1]) - float64(lo[1]) + 1
+	var rows int
+	if w*h <= float64(4*len(pts)+1024) {
+		idx.kx0, idx.ky0, idx.w, idx.h = lo[0], lo[1], int(w), int(h)
+		rows = idx.w * idx.h
+	} else {
+		idx.occupied = make(map[[2]int]int32)
+		for _, p := range pts {
+			k := idx.key(p)
+			if _, ok := idx.occupied[k]; !ok {
+				idx.occupied[k] = int32(len(idx.occupied))
+			}
+		}
+		rows = len(idx.occupied)
+	}
+	b := mem.NewCSRBuilder[int32](rows)
+	for _, p := range pts {
+		b.Count(idx.row(idx.key(p)))
+	}
+	b.Seal()
+	for i, p := range pts {
+		b.Put(idx.row(idx.key(p)), int32(i))
+	}
+	idx.cells = b.Done()
 	return idx
 }
 
@@ -323,12 +364,36 @@ func (idx *gridIndex) key(p geom.Point) [2]int {
 	return [2]int{int(math.Floor(p.X / idx.cell)), int(math.Floor(p.Y / idx.cell))}
 }
 
+// row returns the table row of cell k, or -1 when the table has none: k lies
+// outside the dense window, or no point lies in it under the sparse layout.
+func (idx *gridIndex) row(k [2]int) int {
+	if idx.occupied != nil {
+		if r, ok := idx.occupied[k]; ok {
+			return int(r)
+		}
+		return -1
+	}
+	x, y := k[0]-idx.kx0, k[1]-idx.ky0
+	if x < 0 || x >= idx.w || y < 0 || y >= idx.h {
+		return -1
+	}
+	return x*idx.h + y
+}
+
+// points returns the points of cell k in index order.
+func (idx *gridIndex) points(k [2]int) []int32 {
+	if r := idx.row(k); r >= 0 {
+		return idx.cells.Row(r)
+	}
+	return nil
+}
+
 func (idx *gridIndex) forNeighbors(p geom.Point, fn func(j int)) {
 	k := idx.key(p)
 	for dx := -1; dx <= 1; dx++ {
 		for dy := -1; dy <= 1; dy++ {
-			for _, j := range idx.cells[[2]int{k[0] + dx, k[1] + dy}] {
-				fn(j)
+			for _, j := range idx.points([2]int{k[0] + dx, k[1] + dy}) {
+				fn(int(j))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package udg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -81,6 +82,78 @@ func TestBuildMatchesBruteForce(t *testing.T) {
 				if !want[w] {
 					t.Fatalf("node %d: unexpected neighbour %d", i, w)
 				}
+			}
+		}
+	}
+}
+
+// mapGrid is the hash-map cell index the CSR grid replaced: the reference
+// for neighbour and box-sweep order.
+type mapGrid map[[2]int][]int
+
+func newMapGrid(pts []geom.Point, r float64) mapGrid {
+	m := mapGrid{}
+	for i, p := range pts {
+		k := [2]int{int(math.Floor(p.X / r)), int(math.Floor(p.Y / r))}
+		m[k] = append(m[k], i)
+	}
+	return m
+}
+
+// TestGridIndexMatchesMapReference pins the CSR grid to the map index it
+// replaced, in order: every node's neighbour row (which fixes the LDel²
+// input and so every routing digest) and ForNodesInBox's sweep, on a dense
+// window and on far-flung clusters that take the occupied-cell layout.
+func TestGridIndexMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	far := append(randomPoints(rng, 60, 4, 4), randomPoints(rng, 60, 4, 4)...)
+	for i := 60; i < len(far); i++ {
+		far[i] = geom.Pt(far[i].X+1e5, far[i].Y-3e4)
+	}
+	for name, pts := range map[string][]geom.Point{
+		"dense": randomPoints(rng, 300, 9, 6),
+		"far":   far,
+	} {
+		r := 0.7
+		g := Build(pts, r)
+		if sparse := g.idx.occupied != nil; sparse != (name == "far") {
+			t.Fatalf("%s: occupied-cell layout = %v", name, sparse)
+		}
+		ref := newMapGrid(pts, r)
+		for i, p := range pts {
+			var want []NodeID
+			k := [2]int{int(math.Floor(p.X / r)), int(math.Floor(p.Y / r))}
+			for dx := -1; dx <= 1; dx++ {
+				for dy := -1; dy <= 1; dy++ {
+					for _, j := range ref[[2]int{k[0] + dx, k[1] + dy}] {
+						if j != i && p.Dist2(pts[j]) <= r*r {
+							want = append(want, NodeID(j))
+						}
+					}
+				}
+			}
+			if got := g.Neighbors(NodeID(i)); !slices.Equal(got, want) {
+				t.Fatalf("%s: node %d neighbours %v, map index %v", name, i, got, want)
+			}
+		}
+		for q := 0; q < 50; q++ {
+			a, b := pts[rng.Intn(len(pts))], pts[rng.Intn(len(pts))]
+			lo := geom.Pt(min(a.X, b.X)-0.3, min(a.Y, b.Y)-0.3)
+			hi := geom.Pt(max(a.X, b.X)+0.3, max(a.Y, b.Y)+0.3)
+			if hi.X-lo.X > 50 || hi.Y-lo.Y > 50 {
+				continue // a box across the far clusters sweeps ~10¹⁰ cells
+			}
+			var got, want []NodeID
+			g.ForNodesInBox(lo, hi, func(v NodeID) { got = append(got, v) })
+			for kx := int(math.Floor(lo.X / r)); kx <= int(math.Floor(hi.X/r)); kx++ {
+				for ky := int(math.Floor(lo.Y / r)); ky <= int(math.Floor(hi.Y/r)); ky++ {
+					for _, j := range ref[[2]int{kx, ky}] {
+						want = append(want, NodeID(j))
+					}
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: ForNodesInBox(%v, %v) = %v, map index %v", name, lo, hi, got, want)
 			}
 		}
 	}

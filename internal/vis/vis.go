@@ -29,13 +29,22 @@ type Domain struct {
 	turns   []geom.Orientation
 	corners []geom.Point
 	// cornerAdj[i] lists the corners visible from corner i, in increasing
-	// order; the relation is symmetric.
+	// order; the relation is symmetric. It is nil for an Overlay's obstacle
+	// set, which plans over its own Delaunay graph instead.
 	cornerAdj [][]int
 }
 
 // NewDomain builds the visibility structure over the given obstacle
 // polygons (each a vertex cycle, any orientation).
 func NewDomain(obstacles [][]geom.Point) *Domain {
+	d := newObstacleSet(obstacles)
+	d.cornerAdj = d.cornerGraph()
+	return d
+}
+
+// newObstacleSet indexes the obstacles for visibility tests (boxes, convex
+// turns and the corner list) without the quadratic corner graph.
+func newObstacleSet(obstacles [][]geom.Point) *Domain {
 	d := &Domain{
 		obstacles: obstacles,
 		boxes:     make([]geom.Box, len(obstacles)),
@@ -46,17 +55,23 @@ func NewDomain(obstacles [][]geom.Point) *Domain {
 		d.turns[k] = convexTurn(poly)
 		d.corners = append(d.corners, poly...)
 	}
+	return d
+}
+
+// cornerGraph returns the visibility graph of the corners: O(C²) Visible
+// calls.
+func (d *Domain) cornerGraph() [][]int {
 	n := len(d.corners)
-	d.cornerAdj = make([][]int, n)
+	adj := make([][]int, n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if d.Visible(d.corners[i], d.corners[j]) {
-				d.cornerAdj[i] = append(d.cornerAdj[i], j)
-				d.cornerAdj[j] = append(d.cornerAdj[j], i)
+				adj[i] = append(adj[i], j)
+				adj[j] = append(adj[j], i)
 			}
 		}
 	}
-	return d
+	return adj
 }
 
 // Obstacles returns the obstacle polygons; callers must not modify them.
@@ -362,9 +377,17 @@ type Overlay struct {
 }
 
 // NewOverlay builds the overlay Delaunay graph over the given convex hulls
-// (each a CCW vertex cycle). The hulls are also the visibility obstacles.
+// (each a CCW vertex cycle). The hulls are also the visibility obstacles;
+// their corner visibility graph is never built, since plans search the
+// overlay's own edges.
 func NewOverlay(hulls [][]geom.Point) *Overlay {
-	o := &Overlay{domain: NewDomain(hulls)}
+	return newOverlayOn(newObstacleSet(hulls), hulls)
+}
+
+// newOverlayOn builds the overlay over hulls with d, an index of the same
+// hulls, as its visibility obstacles.
+func newOverlayOn(d *Domain, hulls [][]geom.Point) *Overlay {
+	o := &Overlay{domain: d}
 	o.corners = o.domain.Corners()
 	n := len(o.corners)
 	o.adj = make([][]int, n)

@@ -3,6 +3,7 @@ package vis
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hybridroute/internal/geom"
@@ -273,6 +274,49 @@ func TestConvexTurn(t *testing.T) {
 	for i := range pentagram {
 		if o := geom.Orient(pentagram[i], pentagram[(i+1)%n], pentagram[(i+2)%n]); o != geom.Orient(pentagram[0], pentagram[1], pentagram[2]) {
 			t.Fatalf("pentagram turn %d is %v", i, o)
+		}
+	}
+}
+
+// TestOverlayNeedsNoCornerGraph pins that NewOverlay, which indexes its
+// hulls without the corner visibility graph, answers exactly as an overlay
+// over a full NewDomain of the same hulls: the same edges in the same order
+// and the same ShortestPath (points and length, compared with ==) on seeded
+// sets of disjoint convex hulls.
+func TestOverlayNeedsNoCornerGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		// One hull of 3..10 random points per occupied cell of a 4×4 grid of
+		// 10×10 cells, inset so hulls in neighbouring cells stay disjoint.
+		var hulls [][]geom.Point
+		for cell := 0; cell < 16; cell++ {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			x0, y0 := float64(cell%4)*10+1, float64(cell/4)*10+1
+			pts := make([]geom.Point, 3+rng.Intn(8))
+			for i := range pts {
+				pts[i] = geom.Pt(x0+rng.Float64()*8, y0+rng.Float64()*8)
+			}
+			if h := geom.ConvexHull(pts); len(h) >= 3 {
+				hulls = append(hulls, h)
+			}
+		}
+		got, want := NewOverlay(hulls), newOverlayOn(NewDomain(hulls), hulls)
+		if got.domain.cornerAdj != nil {
+			t.Fatal("NewOverlay built a corner graph")
+		}
+		if ge, we := got.Edges(), want.Edges(); !slices.Equal(ge, we) {
+			t.Fatalf("trial %d: edges %v, full-domain overlay %v", trial, ge, we)
+		}
+		for q := 0; q < 20; q++ {
+			s := geom.Pt(rng.Float64()*40, rng.Float64()*40)
+			e := geom.Pt(rng.Float64()*40, rng.Float64()*40)
+			gp, gl, gok := got.ShortestPath(s, e)
+			wp, wl, wok := want.ShortestPath(s, e)
+			if gok != wok || gl != wl || !slices.Equal(gp, wp) {
+				t.Fatalf("trial %d: ShortestPath(%v, %v) = %v %v %v, full-domain overlay %v %v %v", trial, s, e, gp, gl, gok, wp, wl, wok)
+			}
 		}
 	}
 }
