@@ -26,11 +26,12 @@ test:
 # routing worker, engine workers walk Chew corridors concurrently over one
 # shared Router, the mem arenas back the engine's pooled query scratch and
 # the LDel² build's mark sets, the serve layer mixes live churn repair with
-# in-flight queries and concurrent scrapes, and the cluster gateway
+# in-flight queries and concurrent scrapes, the cluster gateway
 # races hedged attempts against breaker state while chaos kills
-# backends under it; keep all nine packages race-clean.
+# backends under it, and every visibility domain's seen memo is filled
+# and read by concurrent plans; keep all ten packages race-clean.
 race:
-	go test -race ./internal/abstraction/... ./internal/cluster/... ./internal/core/... ./internal/delaunay/... ./internal/mem/... ./internal/routing/... ./internal/serve/... ./internal/sim/... ./internal/trace/...
+	go test -race ./internal/abstraction/... ./internal/cluster/... ./internal/core/... ./internal/delaunay/... ./internal/mem/... ./internal/routing/... ./internal/serve/... ./internal/sim/... ./internal/trace/... ./internal/vis/...
 
 # Fuzz the degenerate-geometry targets, 20 s each: FuzzChewWalk (the Chew
 # corridor walk against its full-scan reference), FuzzDomainVisible (the

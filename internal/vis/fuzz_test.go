@@ -236,7 +236,9 @@ func decodeDomain(data []byte) (obstacles [][]geom.Point, queries [][2]geom.Poin
 // and query endpoints, PointInObstacle at each of them and at every query
 // midpoint, the overlay's edges in order, both ShortestPaths (points and
 // length, compared with ==) for every query, and ShortestPathsFrom each
-// query's source to every query endpoint.
+// query's source to every query endpoint. Every query is planned twice, so
+// the second plan reads the source's row from the seen memo, and once more
+// with the sources in reverse order.
 func FuzzDomainVisible(f *testing.F) {
 	f.Add([]byte{0, 4, 4, 0, 0, 5, 2, 0, 5, 0, 0, 16, 5, 0, 0}) // a box and a query through it
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -263,6 +265,11 @@ func FuzzDomainVisible(f *testing.F) {
 		if got, want := o.Edges(), (&Overlay{adj: refAdj}).Edges(); !slices.Equal(got, want) {
 			t.Fatalf("overlay edges %v, reference %v", got, want)
 		}
+		// The queries in order twice, then in reverse order.
+		rounds := append(append([][2]geom.Point(nil), queries...), queries...)
+		for i := len(queries) - 1; i >= 0; i-- {
+			rounds = append(rounds, queries[i])
+		}
 		type planner func(s, t geom.Point) ([]geom.Point, float64, bool)
 		for _, c := range []struct {
 			name      string
@@ -275,7 +282,7 @@ func FuzzDomainVisible(f *testing.F) {
 				return ref.shortestPath(refAdj, s, t)
 			}},
 		} {
-			for _, q := range queries {
+			for _, q := range rounds {
 				path, length, ok := c.got(q[0], q[1])
 				wantPath, wantLen, wantOK := c.want(q[0], q[1])
 				if ok != wantOK || length != wantLen || !slices.Equal(path, wantPath) {
@@ -288,7 +295,7 @@ func FuzzDomainVisible(f *testing.F) {
 		for _, q := range queries {
 			targets = append(targets, q[0], q[1])
 		}
-		for _, q := range queries {
+		for _, q := range rounds {
 			for k, p := range d.ShortestPathsFrom(q[0], targets) {
 				wantPath, wantLen, wantOK := ref.shortestPath(ref.cornerAdj, q[0], targets[k])
 				if p.OK != wantOK || p.Length != wantLen || !slices.Equal(p.Points, wantPath) {

@@ -11,6 +11,7 @@ package vis
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"hybridroute/internal/delaunay"
 	"hybridroute/internal/geom"
@@ -32,6 +33,15 @@ type Domain struct {
 	// order; the relation is symmetric. It is nil for an Overlay's obstacle
 	// set, which plans over its own Delaunay graph instead.
 	cornerAdj [][]int
+	// seen maps a plan source, keyed by its coordinate bits (so a NaN
+	// coordinate, which never equals itself, still finds its row), to its
+	// row over corners: row[i] is Visible(s, corners[i]). Visible is pure, so a row is filled once, on the first
+	// search from s that needs it, and only read after; the memo lives and
+	// dies with the domain. It holds one row of len(corners) bytes per
+	// distinct source. In core every source is a node position (a hit
+	// node, an exit or entry corner, or an endpoint inside a merged hull),
+	// so a domain holds at most one row per network node.
+	seen sync.Map // [2]uint64 → []bool
 }
 
 // NewDomain builds the visibility structure over the given obstacle
@@ -192,9 +202,10 @@ type Path struct {
 }
 
 // ShortestPathsFrom returns ShortestPath(s, t) for every t in ts, in order.
-// The corners s sees are found once, when the first target that s does not
-// see directly needs them, and shared by the later targets; each target
-// then runs exactly the search ShortestPath would.
+// One search serves every target: it tests s against the obstacles once,
+// reads s's corner row once, when the first target that s does not see
+// directly needs it, and reuses its scratch; each target then runs exactly
+// the search ShortestPath would.
 func (d *Domain) ShortestPathsFrom(s geom.Point, ts []geom.Point) []Path {
 	out := make([]Path, len(ts))
 	if d.PointInObstacle(s) {
@@ -217,19 +228,34 @@ func (d *Domain) plan(adj [][]int, s, t geom.Point) ([]geom.Point, float64, bool
 	return sr.to(t)
 }
 
+// seenRow returns s's row of the seen memo, filling it on first use.
+func (d *Domain) seenRow(s geom.Point) []bool {
+	key := [2]uint64{math.Float64bits(s.X), math.Float64bits(s.Y)}
+	if row, ok := d.seen.Load(key); ok {
+		return row.([]bool)
+	}
+	row := make([]bool, len(d.corners))
+	for i, c := range d.corners {
+		row[i] = d.Visible(s, c)
+	}
+	got, _ := d.seen.LoadOrStore(key, row)
+	return got.([]bool)
+}
+
 // planNode is one node of a plan's search: a corner, s or t.
 type planNode struct {
-	dist         float64
-	prev         int
-	seesS, seesT bool // a corner visible from s or from t
+	dist float64
+	prev int
 }
 
 // search plans from one source s, outside every obstacle, over the corner
-// graph adj. nodes is nil until a target first needs the corners s sees.
+// graph adj. nodes and seesS are nil until a target first needs the corners
+// s sees; seesS is s's row of the domain's seen memo, shared and only read.
 type search struct {
 	d     *Domain
 	adj   [][]int
 	s     geom.Point
+	seesS []bool
 	nodes []planNode
 	pq    visHeap
 }
@@ -237,7 +263,10 @@ type search struct {
 // to runs Euclidean Dijkstra from s to t, entering from s at every corner it
 // sees and leaving for t from every corner that sees t. Node n is s and n+1
 // is t; s's neighbours are the corners it sees in index order, and t is the
-// last neighbour of each corner that sees it.
+// last neighbour of each corner that sees it. Whether a popped corner sees t
+// is tested only when its leg to t would shorten t's distance: relax would
+// ignore the leg otherwise, and Visible is pure, so skipping the test changes
+// no heap operation.
 func (sr *search) to(t geom.Point) ([]geom.Point, float64, bool) {
 	d, s := sr.d, sr.s
 	if d.PointInObstacle(t) {
@@ -251,16 +280,11 @@ func (sr *search) to(t geom.Point) ([]geom.Point, float64, bool) {
 	if sr.nodes == nil {
 		sr.nodes = make([]planNode, n+2)
 		sr.pq = make(visHeap, 0, n+2)
-		for i, c := range d.corners {
-			sr.nodes[i].seesS = d.Visible(s, c)
-		}
+		sr.seesS = d.seenRow(s)
 	}
 	nodes := sr.nodes
 	for i := range nodes {
 		nodes[i].dist, nodes[i].prev = math.Inf(1), -1
-	}
-	for i, c := range d.corners {
-		nodes[i].seesT = d.Visible(t, c)
 	}
 	pos := func(i int) geom.Point {
 		switch i {
@@ -292,7 +316,7 @@ func (sr *search) to(t geom.Point) ([]geom.Point, float64, bool) {
 		pv := pos(it.v)
 		if it.v == src {
 			for w := 0; w < n; w++ {
-				if nodes[w].seesS {
+				if sr.seesS[w] {
 					relax(it.v, w, it.d, pv)
 				}
 			}
@@ -301,7 +325,7 @@ func (sr *search) to(t geom.Point) ([]geom.Point, float64, bool) {
 		for _, w := range sr.adj[it.v] {
 			relax(it.v, w, it.d, pv)
 		}
-		if nodes[it.v].seesT {
+		if it.d+pv.Dist(t) < nodes[dst].dist && d.Visible(t, pv) {
 			relax(it.v, dst, it.d, pv)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"hybridroute/internal/geom"
@@ -216,6 +217,33 @@ func BenchmarkOverlayQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkOverlayQueryTargets plans over BenchmarkOverlayQuery's overlay
+// from 8 fixed sources on the layout's border, each to a rotating set of 64
+// distinct targets, so every op tests a new target's legs while the
+// sources' corner rows are shared, as a hit node's are across queries.
+func BenchmarkOverlayQueryTargets(b *testing.B) {
+	var hulls [][]geom.Point
+	for i := 0; i < 25; i++ {
+		hulls = append(hulls, square(2+float64(i%5)*10, 2+float64(i/5)*10, 1))
+	}
+	o := NewOverlay(hulls)
+	sources := []geom.Point{
+		geom.Pt(0, 0), geom.Pt(23, 0), geom.Pt(46, 0), geom.Pt(46, 23),
+		geom.Pt(46, 46), geom.Pt(23, 46), geom.Pt(0, 46), geom.Pt(0, 23),
+	}
+	rng := rand.New(rand.NewSource(3))
+	var targets []geom.Point
+	for len(targets) < 64 {
+		if p := geom.Pt(rng.Float64()*46, rng.Float64()*46); !o.PointInObstacle(p) {
+			targets = append(targets, p)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.ShortestPath(sources[i%len(sources)], targets[i/len(sources)%len(targets)])
+	}
+}
+
 func TestAdjacentBoundaryVerticesVisible(t *testing.T) {
 	// Regression: computed midpoints of boundary edges land within machine
 	// epsilon of the segment; the strict-interior test must not classify
@@ -318,5 +346,123 @@ func TestOverlayNeedsNoCornerGraph(t *testing.T) {
 				t.Fatalf("trial %d: ShortestPath(%v, %v) = %v %v %v, full-domain overlay %v %v %v", trial, s, e, gp, gl, gok, wp, wl, wok)
 			}
 		}
+	}
+}
+
+// seenRows returns the number of source rows in d's seen memo.
+func seenRows(d *Domain) int {
+	n := 0
+	d.seen.Range(func(_, _ any) bool { n++; return true })
+	return n
+}
+
+// TestSeenRowOncePerSource pins the seen memo's growth: a plan whose source
+// sees its target adds no row, two plans from one source add one, each
+// further source adds one, and a new domain over the same obstacles starts
+// empty.
+func TestSeenRowOncePerSource(t *testing.T) {
+	obstacles := [][]geom.Point{square(5, 5, 1), square(9, 5, 1)}
+	d := NewDomain(obstacles)
+	o := NewOverlay(obstacles)
+	for _, c := range []struct {
+		name  string
+		d     *Domain
+		route func(s, t geom.Point) ([]geom.Point, float64, bool)
+	}{
+		{"Domain", d, d.ShortestPath},
+		{"Overlay", o.domain, o.ShortestPath},
+	} {
+		s := geom.Pt(0, 5)
+		if _, _, ok := c.route(s, geom.Pt(0, 9)); !ok || seenRows(c.d) != 0 {
+			t.Fatalf("%s: a direct plan left %d rows", c.name, seenRows(c.d))
+		}
+		for _, e := range []geom.Point{geom.Pt(12, 5), geom.Pt(7, 5.5)} {
+			if _, _, ok := c.route(s, e); !ok {
+				t.Fatalf("%s: no path from %v to %v", c.name, s, e)
+			}
+		}
+		if got := seenRows(c.d); got != 1 {
+			t.Fatalf("%s: two plans from one source left %d rows, want 1", c.name, got)
+		}
+		c.route(geom.Pt(12, 5), s)
+		if got := seenRows(c.d); got != 2 {
+			t.Fatalf("%s: a second source left %d rows, want 2", c.name, got)
+		}
+	}
+	if got := seenRows(NewDomain(obstacles)); got != 0 {
+		t.Fatalf("a new domain starts with %d rows", got)
+	}
+}
+
+// TestSeenRowsConcurrent plans from shared sources on 8 goroutines over one
+// Domain and one Overlay, which fill and read the seen memo concurrently;
+// every answer must equal (==) the sequential answer of a separate domain
+// and overlay over the same hulls.
+func TestSeenRowsConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var hulls [][]geom.Point
+	for cell := 0; cell < 16; cell++ {
+		x0, y0 := float64(cell%4)*10+1, float64(cell/4)*10+1
+		pts := make([]geom.Point, 3+rng.Intn(8))
+		for i := range pts {
+			pts[i] = geom.Pt(x0+rng.Float64()*8, y0+rng.Float64()*8)
+		}
+		if h := geom.ConvexHull(pts); len(h) >= 3 {
+			hulls = append(hulls, h)
+		}
+	}
+	point := func() geom.Point { return geom.Pt(rng.Float64()*40, rng.Float64()*40) }
+	var sources, targets []geom.Point
+	for i := 0; i < 4; i++ {
+		sources = append(sources, point())
+	}
+	for i := 0; i < 24; i++ {
+		targets = append(targets, point())
+	}
+	type answer struct {
+		path   []geom.Point
+		length float64
+		ok     bool
+	}
+	type planner func(s, t geom.Point) ([]geom.Point, float64, bool)
+	// plan answers every (source, target) pair, starting at pair k, over
+	// the given planners, at a fixed index per pair and planner.
+	plan := func(k int, planners []planner, out []answer) {
+		pairs := len(sources) * len(targets)
+		for n := 0; n < pairs; n++ {
+			p := (k + n) % pairs
+			s, e := sources[p/len(targets)], targets[p%len(targets)]
+			for j, f := range planners {
+				a := &out[p*len(planners)+j]
+				a.path, a.length, a.ok = f(s, e)
+			}
+		}
+	}
+	seqD, seqO := NewDomain(hulls), NewOverlay(hulls)
+	want := make([]answer, 2*len(sources)*len(targets))
+	plan(0, []planner{seqD.ShortestPath, seqO.ShortestPath}, want)
+
+	d, o := NewDomain(hulls), NewOverlay(hulls)
+	got := make([][]answer, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([]answer, len(want))
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			plan(g*13, []planner{d.ShortestPath, o.ShortestPath}, got[g])
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		for i, a := range got[g] {
+			w := want[i]
+			if a.ok != w.ok || a.length != w.length || !slices.Equal(a.path, w.path) {
+				t.Fatalf("goroutine %d answer %d = %v %v %v, sequential %v %v %v", g, i, a.path, a.length, a.ok, w.path, w.length, w.ok)
+			}
+		}
+	}
+	if rows := seenRows(d); rows == 0 || rows > len(sources) {
+		t.Fatalf("domain memo has %d rows for %d sources", rows, len(sources))
 	}
 }
